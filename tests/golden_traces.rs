@@ -263,3 +263,131 @@ fn injected_lr_perturbation_is_detected() {
     // and the untampered trace still matches itself exactly
     assert!(diff_traces(&golden, &golden, &Tolerances::default()).is_ok());
 }
+
+/// Runs `cell` under the scalar backend (the bit-exact court) with a
+/// capturing recorder and returns its encoded trace.
+fn setting_trace(cell: impl FnOnce(&mut Recorder)) -> String {
+    use rex::tensor::backend::{self, BackendKind};
+
+    backend::with_backend(BackendKind::Scalar, || {
+        let sink = MemorySink::unbounded();
+        let handle = sink.handle();
+        let mut rec = Recorder::new(Box::new(sink));
+        cell(&mut rec);
+        encode_trace(&handle.events(), false)
+    })
+}
+
+/// Compares one non-classifier cell's trace with its golden under
+/// `tests/golden/settings/`, byte for byte, or rewrites the golden when
+/// `REX_BLESS` is set.
+fn check_setting(name: &str, trace: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/settings")
+        .join(format!("{name}.jsonl"));
+    if std::env::var_os("REX_BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, trace).unwrap();
+        eprintln!("blessed {}", path.display());
+        return;
+    }
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); run scripts/bless_traces.sh",
+            path.display()
+        )
+    });
+    if text != trace {
+        let golden = parse_trace(&text).expect("golden file must parse");
+        let events = parse_trace(trace).expect("trace must re-parse");
+        match diff_traces(&golden, &events, &Tolerances::default()) {
+            Err(diff) => panic!("{name}: {diff}"),
+            Ok(()) => panic!("{name}: trace is within tolerance but not byte-identical"),
+        }
+    }
+}
+
+/// VAE golden: a plateau schedule, so validation feedback is pinned too.
+#[test]
+fn golden_trace_vae_plateau() {
+    use rex::train::tasks::run_vae_cell_traced;
+
+    let train = synth_digits(48, 12, 0xA1);
+    let test = synth_digits(16, 12, 0xA2);
+    let trace = setting_trace(|rec| {
+        run_vae_cell_traced(
+            &train,
+            &test,
+            3,
+            16,
+            OptimizerKind::adam(),
+            ScheduleSpec::DecayOnPlateau(1),
+            1e-3,
+            5,
+            rec,
+        )
+        .expect("vae cell must train");
+    });
+    check_setting("vae_plateau", &trace);
+}
+
+/// Detection golden: REX behind the excluded linear warmup.
+#[test]
+fn golden_trace_detection_rex() {
+    use rex::data::scenes::synth_scenes;
+    use rex::train::tasks::run_detection_cell_traced;
+
+    let train = synth_scenes(12, 24, 0xB1);
+    let test = synth_scenes(6, 24, 0xB2);
+    let trace = setting_trace(|rec| {
+        run_detection_cell_traced(
+            &train,
+            &test,
+            1,
+            1,
+            6,
+            OptimizerKind::adam(),
+            ScheduleSpec::Rex,
+            1e-3,
+            2,
+            rec,
+        )
+        .expect("detection cell must train");
+    });
+    check_setting("detection_rex", &trace);
+}
+
+/// GLUE golden: fine-tuning from a one-epoch pretrained encoder under a
+/// plateau schedule (validation is the test error).
+#[test]
+fn golden_trace_glue_plateau() {
+    use rex::data::text::{glue_tasks, lm_corpus};
+    use rex::nn::TransformerConfig;
+    use rex::train::tasks::{pretrain_transformer, run_glue_cell_traced};
+
+    let cfg = TransformerConfig {
+        vocab: 32,
+        dim: 16,
+        heads: 2,
+        depth: 1,
+        seq_len: 12,
+        ff_mult: 2,
+    };
+    let corpus = lm_corpus(32, 12, 32, 0xC1);
+    let tasks = glue_tasks(24, 12, 12, 32, 0xC2);
+    let trace = setting_trace(|rec| {
+        let tf = pretrain_transformer(&corpus, cfg, 1, 8, 1e-3, 1).expect("pretraining");
+        run_glue_cell_traced(
+            &tf,
+            &tasks[0],
+            2,
+            8,
+            ScheduleSpec::DecayOnPlateau(1),
+            1e-3,
+            3,
+            rec,
+        )
+        .expect("glue cell must train");
+    });
+    check_setting("glue_plateau", &trace);
+}
