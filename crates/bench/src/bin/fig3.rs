@@ -10,8 +10,8 @@ use rex_bench::{print_budget_table, run_schedule_grid, Args};
 use rex_core::ScheduleSpec;
 use rex_data::images::synth_cifar100;
 use rex_eval::store::write_csv;
-use rex_train::tasks::{run_image_cell_traced, ImageModel};
-use rex_train::{Budget, OptimizerKind};
+use rex_train::tasks::{run_image_cell, ImageModel};
+use rex_train::{Budget, OptimizerKind, TrainConfig};
 
 fn main() {
     let args = Args::parse();
@@ -54,16 +54,13 @@ fn main() {
                 args.trace.as_deref(),
                 args.resume.as_deref(),
                 |cell, rec| {
-                    run_image_cell_traced(
+                    run_image_cell(
                         model,
                         &data,
-                        cell.budget.epochs(),
-                        32,
-                        cell.optimizer,
-                        cell.schedule.clone(),
-                        cell.optimizer.default_lr() * lr_scale,
-                        cell.seed,
-                        args.dtype,
+                        TrainConfig {
+                            dtype: args.dtype,
+                            ..cell.config(32, cell.optimizer.default_lr() * lr_scale)
+                        },
                         rec,
                     )
                     .expect("training cell failed")

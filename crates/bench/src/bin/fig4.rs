@@ -10,9 +10,10 @@ use rex_bench::{table_schedules, Args};
 use rex_data::images::{synth_cifar10, synth_cifar100};
 use rex_eval::store::{write_csv, Record};
 use rex_eval::table;
+use rex_telemetry::Recorder;
 use rex_train::tasks::{run_image_cell, ImageModel};
 use rex_train::trial::lr_grid;
-use rex_train::{Budget, OptimizerKind};
+use rex_train::{Budget, OptimizerKind, TrainConfig};
 
 fn main() {
     let args = Args::parse();
@@ -43,12 +44,17 @@ fn main() {
                     let err = run_image_cell(
                         model,
                         data,
-                        budget.epochs(),
-                        32,
-                        optimizer,
-                        sched.clone(),
-                        lr,
-                        args.seed ^ (li as u64) << 16 ^ (pct as u64) << 24,
+                        TrainConfig {
+                            batch_size: 32,
+                            lr,
+                            ..TrainConfig::new(
+                                budget.epochs(),
+                                optimizer,
+                                sched.clone(),
+                                args.seed ^ (li as u64) << 16 ^ (pct as u64) << 24,
+                            )
+                        },
+                        &mut Recorder::disabled(),
                     )
                     .expect("training cell failed");
                     eprintln!(

@@ -66,6 +66,7 @@ use std::time::Instant;
 use rex_bench::{run_schedule_grid, Cell};
 use rex_core::ScheduleSpec;
 use rex_data::images::synth_cifar10;
+use rex_telemetry::Recorder;
 use rex_tensor::backend::{self, with_backend, BackendKind};
 use rex_tensor::conv::{conv2d_backward, conv2d_forward, Window};
 use rex_tensor::ops::{batch_slice, matmul3};
@@ -792,12 +793,8 @@ fn bench_grid(cfg: &Config) -> GridBench {
                 run_image_cell(
                     ImageModel::MicroResNet20,
                     &data,
-                    cell.budget.epochs(),
-                    8,
-                    cell.optimizer,
-                    cell.schedule.clone(),
-                    0.05,
-                    cell.seed,
+                    cell.config(8, 0.05),
+                    &mut Recorder::disabled(),
                 )
                 .unwrap()
             },

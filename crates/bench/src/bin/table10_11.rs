@@ -11,7 +11,9 @@ use rex_data::text::{glue_tasks, lm_corpus};
 use rex_eval::store::{write_csv, Record};
 use rex_eval::table;
 use rex_nn::TransformerConfig;
+use rex_telemetry::Recorder;
 use rex_train::tasks::{pretrain_transformer, run_glue_cell};
+use rex_train::{OptimizerKind, TrainConfig};
 
 fn main() {
     let args = Args::parse();
@@ -29,9 +31,23 @@ fn main() {
 
     eprintln!("pre-training checkpoint ({pretrain_epochs} epochs over {corpus_size} sequences)...");
     let corpus = lm_corpus(corpus_size, cfg.seq_len, cfg.vocab, args.seed ^ 0xBE27);
-    let checkpoint =
-        pretrain_transformer(&corpus, cfg, pretrain_epochs, 16, 1e-3, args.seed ^ 0xBE28)
-            .expect("pre-training failed");
+    let checkpoint = pretrain_transformer(
+        &corpus,
+        cfg,
+        TrainConfig {
+            batch_size: 16,
+            lr: 1e-3,
+            grad_clip: Some(1.0),
+            ..TrainConfig::new(
+                pretrain_epochs,
+                OptimizerKind::adamw(),
+                ScheduleSpec::None,
+                args.seed ^ 0xBE28,
+            )
+        },
+        &mut Recorder::disabled(),
+    )
+    .expect("pre-training failed");
 
     let tasks = glue_tasks(
         train_per_task,
@@ -58,11 +74,18 @@ fn main() {
                 let acc = run_glue_cell(
                     &checkpoint,
                     task,
-                    epochs,
-                    8,
-                    sched.clone(),
-                    lr,
-                    args.seed ^ (epochs as u64) << 8,
+                    TrainConfig {
+                        batch_size: 8,
+                        lr,
+                        grad_clip: Some(1.0),
+                        ..TrainConfig::new(
+                            epochs,
+                            OptimizerKind::adamw(),
+                            sched.clone(),
+                            args.seed ^ (epochs as u64) << 8,
+                        )
+                    },
+                    &mut Recorder::disabled(),
                 )
                 .expect("fine-tuning cell failed");
                 eprintln!(

@@ -13,8 +13,9 @@ use rex_core::{SamplingRate, ScheduleSpec, Table2Profile};
 use rex_data::images::synth_cifar10;
 use rex_eval::store::{write_csv, Record};
 use rex_eval::table;
+use rex_telemetry::Recorder;
 use rex_train::tasks::{run_image_cell, ImageModel};
-use rex_train::OptimizerKind;
+use rex_train::{OptimizerKind, TrainConfig};
 
 fn main() {
     let args = Args::parse();
@@ -45,12 +46,17 @@ fn main() {
                         let err = run_image_cell(
                             model,
                             &data,
-                            epochs,
-                            32,
-                            optimizer,
-                            ScheduleSpec::Sampled(profile, rate.clone()),
-                            optimizer.default_lr(),
-                            seed,
+                            TrainConfig {
+                                batch_size: 32,
+                                lr: optimizer.default_lr(),
+                                ..TrainConfig::new(
+                                    epochs,
+                                    optimizer,
+                                    ScheduleSpec::Sampled(profile, rate.clone()),
+                                    seed,
+                                )
+                            },
+                            &mut Recorder::disabled(),
                         )
                         .expect("training cell failed");
                         eprintln!(

@@ -4,8 +4,8 @@
 use rex_bench::{print_budget_table, run_schedule_grid, table_schedules, Args};
 use rex_data::images::synth_stl10;
 use rex_eval::store::write_csv;
-use rex_train::tasks::{run_image_cell_traced, ImageModel};
-use rex_train::{Budget, OptimizerKind};
+use rex_train::tasks::{run_image_cell, ImageModel};
+use rex_train::{Budget, OptimizerKind, TrainConfig};
 
 fn main() {
     let args = Args::parse();
@@ -35,16 +35,13 @@ fn main() {
             args.trace.as_deref(),
             args.resume.as_deref(),
             |cell, rec| {
-                run_image_cell_traced(
+                run_image_cell(
                     ImageModel::MicroWide(widen),
                     &data,
-                    cell.budget.epochs(),
-                    32,
-                    cell.optimizer,
-                    cell.schedule.clone(),
-                    cell.optimizer.default_lr(),
-                    cell.seed,
-                    args.dtype,
+                    TrainConfig {
+                        dtype: args.dtype,
+                        ..cell.config(32, cell.optimizer.default_lr())
+                    },
                     rec,
                 )
                 .expect("training cell failed")

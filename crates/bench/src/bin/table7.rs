@@ -5,7 +5,7 @@
 use rex_bench::{print_budget_table, run_schedule_grid, table_schedules, Args};
 use rex_data::digits::synth_digits;
 use rex_eval::store::write_csv;
-use rex_train::tasks::run_vae_cell_traced;
+use rex_train::tasks::run_vae_cell;
 use rex_train::{Budget, OptimizerKind};
 
 fn main() {
@@ -43,18 +43,7 @@ fn main() {
             args.trace.as_deref(),
             args.resume.as_deref(),
             |cell, rec| {
-                run_vae_cell_traced(
-                    &train,
-                    &test,
-                    cell.budget.epochs(),
-                    8,
-                    cell.optimizer,
-                    cell.schedule.clone(),
-                    lr,
-                    cell.seed,
-                    rec,
-                )
-                .expect("training cell failed")
+                run_vae_cell(&train, &test, cell.config(8, lr), rec).expect("training cell failed")
             },
         ));
     }

@@ -7,7 +7,7 @@ use rex_bench::{print_budget_table, run_schedule_grid, Args};
 use rex_core::ScheduleSpec;
 use rex_data::scenes::synth_scenes;
 use rex_eval::store::write_csv;
-use rex_train::tasks::run_detection_cell_traced;
+use rex_train::tasks::run_detection_cell;
 use rex_train::{Budget, OptimizerKind};
 
 fn main() {
@@ -46,16 +46,11 @@ fn main() {
         args.trace.as_deref(),
         args.resume.as_deref(),
         |cell, rec| {
-            run_detection_cell_traced(
+            run_detection_cell(
                 &train,
                 &test,
-                cell.budget.epochs(),
                 2, // warmup epochs, excluded from the budget
-                8,
-                cell.optimizer,
-                cell.schedule.clone(),
-                1e-2,
-                cell.seed,
+                cell.config(8, 1e-2),
                 rec,
             )
             .expect("training cell failed")

@@ -38,7 +38,7 @@ use rex_eval::stats::Summary;
 use rex_eval::store::Record;
 use rex_eval::table;
 use rex_telemetry::{JsonlSink, Recorder};
-use rex_train::{Budget, OptimizerKind};
+use rex_train::{Budget, OptimizerKind, TrainConfig};
 
 /// Experiment size selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,6 +243,24 @@ pub struct Cell {
     pub trial: usize,
     /// Seed for this (cell, trial).
     pub seed: u64,
+}
+
+impl Cell {
+    /// The cell's training configuration: its budgeted epochs, optimizer,
+    /// schedule and seed at the given batch size and initial LR, with
+    /// [`TrainConfig::new`]'s defaults otherwise.
+    pub fn config(&self, batch_size: usize, lr: f32) -> TrainConfig {
+        TrainConfig {
+            batch_size,
+            lr,
+            ..TrainConfig::new(
+                self.budget.epochs(),
+                self.optimizer,
+                self.schedule.clone(),
+                self.seed,
+            )
+        }
+    }
 }
 
 /// Sanitises one component of a trace filename: lowercase, with every

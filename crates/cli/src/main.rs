@@ -69,7 +69,8 @@ USAGE:
                [--threads N] [--backend scalar|simd|auto]
                [--dtype f32|f16|bf16] [--resume DIR]
                [--profile FILE] [--profile-detail phase|kernel]
-      Run a schedule x budget mini-grid and print a markdown table.
+      Run a schedule x budget mini-grid of any setting and print a
+      markdown table.
       --resume DIR leaves a done-marker per finished cell and skips
       marked cells on the next run. --profile aggregates a span profile
       across every cell and writes it to FILE as Chrome trace JSON.
@@ -99,7 +100,6 @@ USAGE:
                [--workers N] [--checkpoint-every STEPS]
                [--threads N] [--backend scalar|simd|auto]
                [--access-log FILE] [--profile on|off]
-               [--metrics-compat on|off]
       Run the budgeted-training job server (HTTP/1.1, zero deps) in the
       foreground. POST /v1/jobs submits a train job as flat JSON; a full
       queue answers 429 + Retry-After. GET /v1/jobs/:id/trace streams the

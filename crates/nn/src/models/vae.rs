@@ -56,6 +56,13 @@ impl Vae {
         self.input_dim
     }
 
+    /// The reparameterisation noise stream [`Vae::elbo`] draws from in
+    /// training mode. Training-state snapshots save and restore it so a
+    /// resumed run samples the same noise.
+    pub fn sampler(&self) -> &RefCell<Prng> {
+        &self.rng
+    }
+
     /// Builds the negative ELBO for a batch `x: [N, D]` of pixels in
     /// `[0, 1]` and returns the scalar loss node.
     ///

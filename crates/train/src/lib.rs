@@ -15,14 +15,22 @@
 //! * results are averaged over independent trials
 //!   ([`trial::run_trials`]), each with its own seed.
 //!
-//! The per-setting experiment drivers (classification, VAE, detection,
-//! transformer fine-tuning) live in [`tasks`].
+//! There is one training loop, [`Trainer::train`]. What it trains is an
+//! [`Objective`]: parameters, buffers, the training-set size, the loss of
+//! a mini-batch of training rows, a validation loss, and a final metric.
+//! [`Classifier`] covers the image and digits settings; the VAE,
+//! detection, GLUE fine-tuning and masked-LM pretraining objectives live
+//! beside their cell runners in [`tasks`], one public entry point per
+//! setting, each taking a [`TrainConfig`] and a `Recorder`. Every setting
+//! therefore gets the same trace, spans, mixed precision, numeric guards,
+//! and checkpoint/resume.
 
 #![warn(missing_docs)]
 
 mod budget;
 mod error;
 pub mod lineage;
+mod objective;
 pub mod range_test;
 pub mod settings;
 pub mod snapshot;
@@ -33,9 +41,9 @@ pub mod trial;
 pub use budget::Budget;
 pub use error::TrainError;
 pub use lineage::{Lineage, LoadReport};
+pub use objective::{classification_loss, evaluate_classifier, Classifier, Objective};
 pub use snapshot::TrainState;
 pub use trainer::{
-    classification_loss, evaluate_classifier, EpochStats, FtConfig, GuardPolicy, OptimizerKind,
-    TrainConfig, TrainResult, Trainer,
+    EpochStats, FtConfig, GuardPolicy, OptimizerKind, TrainConfig, TrainResult, Trainer,
 };
 pub use trial::EarlyStopping;

@@ -274,6 +274,7 @@ mod tests {
             history: Vec::new(),
             rng: [step, 2, 3, 4],
             rng_epoch_start: [5, 6, 7, 8],
+            sampler: None,
             trace_events: step + 1,
             model: vec![("w".to_owned(), Tensor::arange(0.0, 1.0, 4))],
             buffers: Vec::new(),

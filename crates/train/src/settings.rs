@@ -22,7 +22,8 @@ use rex_telemetry::Recorder;
 use rex_tensor::{DType, Prng};
 
 use crate::error::TrainError;
-use crate::tasks::{run_image_cell_ft, run_vae_cell_traced, ImageModel};
+use crate::objective::Classifier;
+use crate::tasks::{run_image_cell, run_vae_cell, ImageModel};
 use crate::trainer::{FtConfig, OptimizerKind, TrainConfig, Trainer};
 use crate::Budget;
 
@@ -42,7 +43,8 @@ pub enum SettingSpec {
         /// Multiplier on the optimizer's default LR.
         lr_scale: f32,
     },
-    /// The VAE-MNIST analogue (no checkpoint support yet).
+    /// The VAE-MNIST analogue. Full fault-tolerance support; its
+    /// snapshots also carry the reparameterisation sampler's stream.
     Vae {
         /// Maximum epochs.
         max_epochs: usize,
@@ -127,11 +129,6 @@ impl SettingSpec {
         }
     }
 
-    /// Whether checkpoint/resume/guard knobs are supported.
-    pub fn supports_ft(&self) -> bool {
-        !matches!(self, SettingSpec::Vae { .. })
-    }
-
     /// The headline metric's name (`"test error"` / `"test loss"`).
     pub fn metric_label(&self) -> &'static str {
         match self {
@@ -157,9 +154,7 @@ impl SettingSpec {
     ///
     /// # Errors
     ///
-    /// [`TrainError::Config`] when fault-tolerance knobs are set for a
-    /// setting without snapshot support; otherwise whatever the
-    /// underlying cell runner surfaces.
+    /// Whatever the underlying cell runner surfaces.
     #[allow(clippy::too_many_arguments)]
     pub fn run_ft(
         &self,
@@ -172,89 +167,50 @@ impl SettingSpec {
         ft: FtConfig,
         rec: &mut Recorder,
     ) -> Result<f64, TrainError> {
-        let budget = Budget::new(self.max_epochs(), budget_pct);
+        let epochs = Budget::new(self.max_epochs(), budget_pct).epochs();
+        let cfg = TrainConfig {
+            lr,
+            dtype,
+            ft,
+            ..TrainConfig::new(epochs, optimizer, schedule, seed)
+        };
         match self {
-            SettingSpec::Image { model, data, .. } => run_image_cell_ft(
-                *model,
-                data,
-                budget.epochs(),
-                32,
-                optimizer,
-                schedule,
-                lr,
-                seed,
-                dtype,
-                ft,
-                rec,
-            ),
+            SettingSpec::Image { model, data, .. } => run_image_cell(*model, data, cfg, rec),
             SettingSpec::Vae { .. } => {
-                if ft_is_active(&ft) {
-                    return Err(TrainError::Config(
-                        "checkpoint/resume/guard flags support image and digits settings; \
-                         the VAE path has no snapshot support yet"
-                            .to_owned(),
-                    ));
-                }
-                if dtype != DType::F32 {
-                    return Err(TrainError::Config(
-                        "--dtype supports image and digits settings; the VAE path \
-                         stores f32 only"
-                            .to_owned(),
-                    ));
-                }
                 let train = synth_digits(400, 12, seed ^ 0xD161);
                 let test = synth_digits(150, 12, seed ^ 0xD162);
-                Ok(run_vae_cell_traced(
+                run_vae_cell(
                     &train,
                     &test,
-                    budget.epochs(),
-                    8,
-                    optimizer,
-                    schedule,
-                    lr,
-                    seed,
+                    TrainConfig {
+                        batch_size: 8,
+                        ..cfg
+                    },
                     rec,
-                )?)
+                )
             }
             SettingSpec::Digits { .. } => {
                 let train = synth_digits(120, 12, seed ^ 0xD1_6217);
                 let test = synth_digits(40, 12, seed ^ 0xD1_6218);
-                let mut rng = Prng::new(seed);
-                let model = Mlp::new("m", &[144, 24, 10], &mut rng);
+                let model = Mlp::new("m", &[144, 24, 10], &mut Prng::new(seed));
                 let mut trainer = Trainer::new(TrainConfig {
-                    epochs: budget.epochs(),
                     batch_size: 16,
-                    lr,
-                    optimizer,
-                    schedule,
                     augment: false,
-                    grad_clip: None,
                     seed: seed ^ 0x7EA1,
-                    dtype,
-                    ft,
+                    ..cfg
                 });
-                Ok(trainer
-                    .train_classifier_traced(
-                        &model,
-                        &train.images,
-                        &train.labels,
-                        &test.images,
-                        &test.labels,
-                        rec,
-                    )?
-                    .final_metric)
+                let obj = Classifier::new(
+                    &model,
+                    &train.images,
+                    &train.labels,
+                    &test.images,
+                    &test.labels,
+                    trainer.config(),
+                );
+                Ok(trainer.train(&obj, rec)?.final_metric)
             }
         }
     }
-}
-
-/// Whether any fault-tolerance knob is switched on.
-pub fn ft_is_active(ft: &FtConfig) -> bool {
-    ft.checkpoint_every.is_some()
-        || ft.resume_from.is_some()
-        || ft.guard != crate::GuardPolicy::Off
-        || ft.halt_after_step.is_some()
-        || ft.stop_flag.is_some()
 }
 
 #[cfg(test)]
@@ -275,7 +231,6 @@ mod tests {
     #[test]
     fn digits_cell_trains_and_traces() {
         let spec = load_setting("digits-mlp", 11).unwrap();
-        assert!(spec.supports_ft());
         let sink = MemorySink::unbounded();
         let handle = sink.handle();
         let mut rec = Recorder::new(Box::new(sink));
@@ -344,25 +299,66 @@ mod tests {
         flag.store(false, Ordering::Release);
     }
 
+    /// A VAE run halted mid-epoch and resumed from its last snapshot
+    /// finishes with a trace byte-identical to the uninterrupted run's —
+    /// the snapshot carries the reparameterisation sampler — at f32 and at
+    /// half precision.
     #[test]
-    fn vae_rejects_ft_knobs() {
+    fn vae_halt_and_resume_is_byte_identical() {
+        use rex_telemetry::JsonlSink;
+
         let spec = load_setting("vae-mnist", 1).unwrap();
-        assert!(!spec.supports_ft());
-        let err = spec
-            .run_ft(
-                1,
-                OptimizerKind::sgdm(),
-                ScheduleSpec::Rex,
-                1e-2,
-                1,
-                DType::F32,
+        let dir = std::env::temp_dir().join(format!("rex_vae_resume_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for dtype in [DType::F32, DType::F16] {
+            let ckpt = dir.join(format!("{dtype}.state"));
+            let run = |sink: JsonlSink, ft: FtConfig| {
+                let mut rec = Recorder::new(Box::new(sink));
+                let result = spec.run_ft(
+                    1,
+                    OptimizerKind::adam(),
+                    ScheduleSpec::Rex,
+                    1e-2,
+                    1,
+                    dtype,
+                    FtConfig {
+                        checkpoint_every: Some(10),
+                        checkpoint_path: Some(ckpt.clone()),
+                        ..ft
+                    },
+                    &mut rec,
+                );
+                rec.flush();
+                result
+            };
+            let full_trace = dir.join(format!("{dtype}_full.jsonl"));
+            let cut_trace = dir.join(format!("{dtype}_cut.jsonl"));
+            let full = run(JsonlSink::create(&full_trace).unwrap(), FtConfig::default()).unwrap();
+            let err = run(
+                JsonlSink::create(&cut_trace).unwrap(),
                 FtConfig {
-                    halt_after_step: Some(3),
+                    halt_after_step: Some(37),
                     ..FtConfig::default()
                 },
-                &mut Recorder::disabled(),
             )
             .unwrap_err();
-        assert!(matches!(err, TrainError::Config(_)), "{err}");
+            assert!(matches!(err, TrainError::Halted { step: 37 }), "{err}");
+            let cursor = crate::TrainState::trace_cursor(&ckpt).unwrap();
+            let resumed = run(
+                JsonlSink::resume(&cut_trace, cursor).unwrap(),
+                FtConfig {
+                    resume_from: Some(ckpt.clone()),
+                    ..FtConfig::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(full.to_bits(), resumed.to_bits(), "{dtype}");
+            assert_eq!(
+                std::fs::read(&full_trace).unwrap(),
+                std::fs::read(&cut_trace).unwrap(),
+                "{dtype}: resumed VAE trace differs from the uninterrupted run"
+            );
+        }
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -72,6 +72,11 @@ pub struct TrainState {
     /// Trainer RNG state immediately *before* the in-flight epoch's
     /// shuffle — replaying it rebuilds the epoch's exact batch order.
     pub rng_epoch_start: [u64; 4],
+    /// State of the objective's own random stream (the VAE's
+    /// reparameterisation sampler), when it has one. Stored after the two
+    /// trainer streams in the `rng` section; absent, the section keeps
+    /// its original 64-byte layout.
+    pub sampler: Option<[u64; 4]>,
     /// Deterministic telemetry events emitted so far; a resumed run
     /// truncates its JSONL trace to this many lines and appends.
     pub trace_events: u64,
@@ -155,6 +160,7 @@ impl TrainState {
             history: Vec::new(),
             rng: [0; 4],
             rng_epoch_start: [0; 4],
+            sampler: None,
             trace_events: 0,
             model: Vec::new(),
             buffers: Vec::new(),
@@ -307,8 +313,11 @@ impl TrainState {
     }
 
     fn encode_rng(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64);
+        let mut buf = Vec::with_capacity(96);
         for w in self.rng.iter().chain(&self.rng_epoch_start) {
+            buf.extend_from_slice(&w.to_le_bytes());
+        }
+        for w in self.sampler.iter().flatten() {
             buf.extend_from_slice(&w.to_le_bytes());
         }
         buf
@@ -318,6 +327,13 @@ impl TrainState {
         let mut r = Reader::new(bytes);
         for w in self.rng.iter_mut().chain(self.rng_epoch_start.iter_mut()) {
             *w = r.u64()?;
+        }
+        if r.pos < r.bytes.len() {
+            let mut sampler = [0; 4];
+            for w in &mut sampler {
+                *w = r.u64()?;
+            }
+            self.sampler = Some(sampler);
         }
         r.done()
     }
@@ -471,6 +487,7 @@ mod tests {
             ],
             rng: [1, 2, 3, 4],
             rng_epoch_start: [5, 6, 7, 8],
+            sampler: None,
             trace_events: 23,
             model: vec![
                 ("w".to_owned(), Tensor::arange(0.0, 1.0, 6)),
@@ -504,6 +521,21 @@ mod tests {
         assert_eq!(TrainState::trace_cursor(&path).unwrap(), 23);
         let _ = std::fs::remove_file(&path);
         assert_eq!(state, back);
+    }
+
+    #[test]
+    fn sampler_stream_roundtrips_in_32_extra_bytes() {
+        let mut state = sample_state();
+        let path = tmp("sampler");
+        state.save(&path).unwrap();
+        let without = std::fs::metadata(&path).unwrap().len();
+        state.sampler = Some([9, 10, 11, 12]);
+        state.save(&path).unwrap();
+        let with = std::fs::metadata(&path).unwrap().len();
+        let back = TrainState::load(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(state, back);
+        assert_eq!(with - without, 32);
     }
 
     #[test]

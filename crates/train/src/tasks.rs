@@ -1,24 +1,29 @@
-//! Per-setting experiment drivers: one function per paper setting, all
-//! following the same budgeted protocol and returning the setting's
-//! headline metric.
+//! Per-setting cell runners: one function per paper setting, each
+//! wrapping its model and data in an [`Objective`] and driving it through
+//! the one budgeted loop, [`Trainer::train`]. Every runner takes a
+//! [`TrainConfig`] (budgeted epochs, batch size, LR, optimizer, schedule,
+//! seed, dtype, fault-tolerance knobs) and a [`Recorder`], and returns
+//! the setting's headline metric.
 
-use rex_autograd::Graph;
-use rex_core::{Schedule, ScheduleSpec};
+use std::cell::RefCell;
+
+use rex_autograd::{Graph, NodeId, Param};
+use rex_core::ScheduleSpec;
 use rex_data::digits::DigitDataset;
 use rex_data::scenes::SceneDataset;
 use rex_data::text::{LmCorpus, TextTask};
-use rex_data::{batches_traced, ClassificationDataset};
+use rex_data::ClassificationDataset;
 use rex_eval::map::{mean_average_precision, GroundTruth, Prediction};
 use rex_nn::{
     DetectionTargets, Linear, MicroResNet, MicroVgg, MicroWideResNet, Module, TinyDetector,
     TinyTransformer, TransformerConfig, Vae,
 };
-use rex_optim::{clip_grad_norm, global_grad_norm, global_param_norm, Optimizer};
-use rex_telemetry::{Event, Recorder, StepRecord};
-use rex_tensor::{DType, Prng, TensorError};
+use rex_telemetry::Recorder;
+use rex_tensor::{Prng, Tensor, TensorError};
 
 use crate::error::TrainError;
-use crate::trainer::{FtConfig, OptimizerKind, TrainConfig, Trainer};
+use crate::objective::{Classifier, Objective};
+use crate::trainer::{TrainConfig, Trainer};
 
 /// Which image-classification architecture a setting uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,277 +55,94 @@ impl ImageModel {
     }
 }
 
-/// Trains `model_kind` on `data` for `epochs` and returns the test error
-/// (%). One cell of Tables 4–6/8.
+/// Trains `model_kind` on `data` and returns the test error (%). One
+/// cell of Tables 4–6/8. The model is built from `cfg.seed`; the loop
+/// shuffles and augments from `cfg.seed ^ 0x7EA1`.
 ///
 /// # Errors
 ///
 /// Propagates [`TrainError`]s from the trainer (tensor errors, plus the
 /// fault-tolerance failure modes when those knobs are on).
-#[allow(clippy::too_many_arguments)]
 pub fn run_image_cell(
     model_kind: ImageModel,
     data: &ClassificationDataset,
-    epochs: usize,
-    batch_size: usize,
-    optimizer: OptimizerKind,
-    schedule: ScheduleSpec,
-    lr: f32,
-    seed: u64,
-) -> Result<f64, TrainError> {
-    run_image_cell_traced(
-        model_kind,
-        data,
-        epochs,
-        batch_size,
-        optimizer,
-        schedule,
-        lr,
-        seed,
-        DType::F32,
-        &mut Recorder::disabled(),
-    )
-}
-
-/// [`run_image_cell`] with telemetry emitted into `rec` (see
-/// [`Trainer::train_classifier_traced`]) and an explicit parameter
-/// storage precision (`DType::F32` is the legacy bit-exact path).
-///
-/// # Errors
-///
-/// Same conditions as [`run_image_cell`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_image_cell_traced(
-    model_kind: ImageModel,
-    data: &ClassificationDataset,
-    epochs: usize,
-    batch_size: usize,
-    optimizer: OptimizerKind,
-    schedule: ScheduleSpec,
-    lr: f32,
-    seed: u64,
-    dtype: DType,
+    cfg: TrainConfig,
     rec: &mut Recorder,
 ) -> Result<f64, TrainError> {
-    run_image_cell_ft(
-        model_kind,
-        data,
-        epochs,
-        batch_size,
-        optimizer,
-        schedule,
-        lr,
-        seed,
-        dtype,
-        FtConfig::default(),
-        rec,
-    )
-}
-
-/// [`run_image_cell_traced`] with fault-tolerance knobs: periodic
-/// crash-safe checkpoints, resume, numeric guards, deliberate halts.
-///
-/// # Errors
-///
-/// Same conditions as [`run_image_cell`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_image_cell_ft(
-    model_kind: ImageModel,
-    data: &ClassificationDataset,
-    epochs: usize,
-    batch_size: usize,
-    optimizer: OptimizerKind,
-    schedule: ScheduleSpec,
-    lr: f32,
-    seed: u64,
-    dtype: DType,
-    ft: FtConfig,
-    rec: &mut Recorder,
-) -> Result<f64, TrainError> {
-    let model = model_kind.build(data.num_classes, seed);
+    let model = model_kind.build(data.num_classes, cfg.seed);
     let mut trainer = Trainer::new(TrainConfig {
-        epochs,
-        batch_size,
-        lr,
-        optimizer,
-        schedule,
-        augment: true,
-        grad_clip: None,
-        seed: seed ^ 0x7EA1,
-        dtype,
-        ft,
+        seed: cfg.seed ^ 0x7EA1,
+        ..cfg
     });
-    Ok(trainer
-        .train_classifier_traced(
-            model.as_ref(),
-            &data.train_images,
-            &data.train_labels,
-            &data.test_images,
-            &data.test_labels,
-            rec,
-        )?
-        .final_metric)
+    let obj = Classifier::new(
+        model.as_ref(),
+        &data.train_images,
+        &data.train_labels,
+        &data.test_images,
+        &data.test_labels,
+        trainer.config(),
+    );
+    Ok(trainer.train(&obj, rec)?.final_metric)
 }
 
-/// Drives the per-iteration schedule/optimizer coupling shared by the
-/// custom loops below. Progress is measured in **samples**, not steps, so
-/// a partial final mini-batch advances the budget clock by its true size.
-struct ScheduleDriver {
-    schedule: Box<dyn Schedule>,
-    total_samples: u64,
-    lr0: f32,
-    samples_done: u64,
-    last_lr: f32,
+/// The VAE-MNIST objective: negative ELBO on flattened digits, with the
+/// reparameterisation noise drawn from the model's own sampler.
+struct VaeObjective<'a> {
+    vae: Vae,
+    train: &'a DigitDataset,
+    test: &'a DigitDataset,
 }
 
-impl ScheduleDriver {
-    fn new(spec: &ScheduleSpec, total_samples: u64, lr0: f32) -> Self {
-        ScheduleDriver {
-            schedule: spec.build(),
-            total_samples,
-            lr0,
-            samples_done: 0,
-            last_lr: lr0,
-        }
+impl Objective for VaeObjective<'_> {
+    fn run(&self) -> String {
+        "vae".to_owned()
     }
 
-    /// Applies the LR (and momentum) for the current step, then advances
-    /// the budget clock by the mini-batch's sample count.
-    fn apply(&mut self, opt: &mut dyn Optimizer, batch_len: usize) {
-        let factor = self.schedule.factor(self.samples_done, self.total_samples) as f32;
-        self.last_lr = self.lr0 * factor;
-        opt.set_lr(self.last_lr);
-        if let Some(m) = self
-            .schedule
-            .momentum(self.samples_done, self.total_samples)
-        {
-            opt.set_momentum(m as f32);
-        }
-        self.samples_done += batch_len as u64;
+    fn params(&self) -> Vec<Param> {
+        self.vae.params()
     }
 
-    fn on_validation(&mut self, loss: f64) {
-        self.schedule.on_validation(loss);
+    fn train_len(&self) -> usize {
+        self.train.len()
+    }
+
+    fn shuffle_rng(&self, seed: u64) -> Prng {
+        Prng::new(seed ^ 0xE1B0)
+    }
+
+    fn loss(&self, g: &mut Graph, rows: &[usize], _rng: &mut Prng) -> Result<NodeId, TensorError> {
+        self.vae.elbo(g, &self.train.images.gather_rows(rows))
+    }
+
+    fn metric(&self) -> Result<f64, TensorError> {
+        vae_loss(&self.vae, self.test)
+    }
+
+    fn sampler(&self) -> Option<&RefCell<Prng>> {
+        Some(self.vae.sampler())
     }
 }
 
-/// Trains a VAE on digit images for `epochs` and returns the test
-/// generalization loss (negative ELBO). One cell of Table 7.
+/// Trains a VAE on digit images and returns the test generalization loss
+/// (negative ELBO). One cell of Table 7. The model and its sampler are
+/// seeded from `cfg.seed`, the loop's shuffling from `cfg.seed ^ 0xE1B0`;
+/// `cfg.augment` does not apply.
 ///
 /// # Errors
 ///
-/// Propagates [`TensorError`]s from the model.
-#[allow(clippy::too_many_arguments)]
+/// Propagates [`TrainError`]s from the trainer.
 pub fn run_vae_cell(
     train: &DigitDataset,
     test: &DigitDataset,
-    epochs: usize,
-    batch_size: usize,
-    optimizer: OptimizerKind,
-    schedule: ScheduleSpec,
-    lr: f32,
-    seed: u64,
-) -> Result<f64, TensorError> {
-    run_vae_cell_traced(
+    cfg: TrainConfig,
+    rec: &mut Recorder,
+) -> Result<f64, TrainError> {
+    let obj = VaeObjective {
+        vae: Vae::new(train.size * train.size, 64, 8, cfg.seed),
         train,
         test,
-        epochs,
-        batch_size,
-        optimizer,
-        schedule,
-        lr,
-        seed,
-        &mut Recorder::disabled(),
-    )
-}
-
-/// [`run_vae_cell`] with telemetry emitted into `rec`.
-///
-/// # Errors
-///
-/// Propagates [`TensorError`]s from the model.
-#[allow(clippy::too_many_arguments)]
-pub fn run_vae_cell_traced(
-    train: &DigitDataset,
-    test: &DigitDataset,
-    epochs: usize,
-    batch_size: usize,
-    optimizer: OptimizerKind,
-    schedule: ScheduleSpec,
-    lr: f32,
-    seed: u64,
-    rec: &mut Recorder,
-) -> Result<f64, TensorError> {
-    let dim = train.size * train.size;
-    let vae = Vae::new(dim, 64, 8, seed);
-    let params = vae.params();
-    let mut opt = optimizer.build(params, lr);
-    let traced = rec.is_enabled();
-    opt.set_instrumented(traced);
-    let mut rng = Prng::new(seed ^ 0xE1B0);
-    let total_samples = train.len() as u64 * epochs as u64;
-    let mut driver = ScheduleDriver::new(&schedule, total_samples, lr);
-    let needs_val = schedule.needs_validation_feedback();
-    let fake_labels = vec![0usize; train.len()];
-
-    rec.emit(Event::RunStart {
-        run: "vae".to_owned(),
-        schedule: driver.schedule.name().to_owned(),
-        optimizer: optimizer.name().to_owned(),
-        seed,
-        total_samples,
-    });
-    let mut step: u64 = 0;
-    for epoch in 0..epochs {
-        let epoch_batches = batches_traced(
-            &train.images,
-            &fake_labels,
-            batch_size,
-            Some(&mut rng),
-            rec,
-            epoch as u64,
-        );
-        for (batch_id, batch) in epoch_batches.into_iter().enumerate() {
-            driver.apply(opt.as_mut(), batch.labels.len());
-            opt.zero_grad();
-            let mut g = Graph::new(true);
-            let loss = vae.elbo(&mut g, &batch.images)?;
-            g.backward(loss)?;
-            let grad_norm = if traced {
-                global_grad_norm(opt.params())
-            } else {
-                0.0
-            };
-            opt.step();
-            if traced {
-                rec.emit(Event::Step(StepRecord {
-                    step,
-                    epoch: epoch as u64,
-                    batch_id: batch_id as u64,
-                    lr: driver.last_lr as f64,
-                    loss: g.value(loss).item() as f64,
-                    grad_norm: grad_norm as f64,
-                    param_norm: global_param_norm(opt.params()) as f64,
-                    elapsed_ns: 0,
-                }));
-            }
-            step += 1;
-        }
-        if needs_val {
-            let vl = vae_loss(&vae, test)?;
-            driver.on_validation(vl);
-            if traced {
-                rec.emit(Event::Validation {
-                    epoch: epoch as u64,
-                    loss: vl,
-                });
-            }
-        }
-    }
-    let metric = vae_loss(&vae, test)?;
-    rec.emit(Event::RunEnd { metric });
-    rec.flush();
-    Ok(metric)
+    };
+    Ok(Trainer::new(cfg).train(&obj, rec)?.final_metric)
 }
 
 /// Deterministic (eval-mode) ELBO of a VAE over a digit set.
@@ -334,132 +156,88 @@ pub fn vae_loss(vae: &Vae, data: &DigitDataset) -> Result<f64, TensorError> {
     Ok(g.value(loss).item() as f64)
 }
 
-/// Trains a detector on synthetic scenes, with the paper's 2-epoch linear
-/// warmup excluded from the budget, and returns the test mAP (%). One cell
-/// of Table 9.
+/// The YOLO-VOC objective: the detector's grid loss on synthetic scenes,
+/// scored by test mAP@0.5 (%).
+struct DetectionObjective<'a> {
+    det: TinyDetector,
+    train: &'a SceneDataset,
+    test: &'a SceneDataset,
+}
+
+impl Objective for DetectionObjective<'_> {
+    fn run(&self) -> String {
+        "detection".to_owned()
+    }
+
+    fn params(&self) -> Vec<Param> {
+        self.det.params()
+    }
+
+    fn buffers(&self) -> Vec<(String, &RefCell<Tensor>)> {
+        self.det.buffers()
+    }
+
+    fn train_len(&self) -> usize {
+        self.train.len()
+    }
+
+    fn shuffle_rng(&self, seed: u64) -> Prng {
+        Prng::new(seed ^ 0xDE7E)
+    }
+
+    fn loss(&self, g: &mut Graph, rows: &[usize], _rng: &mut Prng) -> Result<NodeId, TensorError> {
+        let train = self.train;
+        let cells = train.grid * train.grid;
+        let mut classes = Vec::with_capacity(rows.len() * cells);
+        for &i in rows {
+            classes.extend_from_slice(&train.cell_classes[i * cells..(i + 1) * cells]);
+        }
+        let targets = DetectionTargets::new(
+            train.objectness.gather_rows(rows),
+            train.boxes.gather_rows(rows),
+            classes,
+        )?;
+        let x = g.constant(train.images.gather_rows(rows));
+        self.det.loss(g, x, &targets)
+    }
+
+    fn validation_loss(&self) -> Result<f64, TensorError> {
+        Ok(100.0 - detection_map(&self.det, self.test)?)
+    }
+
+    fn metric(&self) -> Result<f64, TensorError> {
+        detection_map(&self.det, self.test)
+    }
+}
+
+/// Trains a detector on synthetic scenes and returns the test mAP (%).
+/// One cell of Table 9. The paper's linear warmup (from LR/10 over
+/// `warmup_epochs`) runs before the `cfg.epochs` budgeted epochs and is
+/// excluded from the budget. The model is seeded from `cfg.seed`, the
+/// loop's shuffling from `cfg.seed ^ 0xDE7E`.
 ///
 /// # Errors
 ///
-/// Propagates [`TensorError`]s from the model.
-#[allow(clippy::too_many_arguments)]
+/// Propagates [`TrainError`]s from the trainer.
 pub fn run_detection_cell(
     train: &SceneDataset,
     test: &SceneDataset,
-    epochs: usize,
     warmup_epochs: usize,
-    batch_size: usize,
-    optimizer: OptimizerKind,
-    schedule: ScheduleSpec,
-    lr: f32,
-    seed: u64,
-) -> Result<f64, TensorError> {
-    run_detection_cell_traced(
+    cfg: TrainConfig,
+    rec: &mut Recorder,
+) -> Result<f64, TrainError> {
+    let obj = DetectionObjective {
+        det: TinyDetector::new(train.num_classes, train.images.shape()[2], cfg.seed),
         train,
         test,
-        epochs,
-        warmup_epochs,
-        batch_size,
-        optimizer,
-        schedule,
-        lr,
-        seed,
-        &mut Recorder::disabled(),
-    )
-}
-
-/// [`run_detection_cell`] with telemetry emitted into `rec`.
-///
-/// # Errors
-///
-/// Propagates [`TensorError`]s from the model.
-#[allow(clippy::too_many_arguments)]
-pub fn run_detection_cell_traced(
-    train: &SceneDataset,
-    test: &SceneDataset,
-    epochs: usize,
-    warmup_epochs: usize,
-    batch_size: usize,
-    optimizer: OptimizerKind,
-    schedule: ScheduleSpec,
-    lr: f32,
-    seed: u64,
-    rec: &mut Recorder,
-) -> Result<f64, TensorError> {
-    let input_size = train.images.shape()[2];
-    let det = TinyDetector::new(train.num_classes, input_size, seed);
-    let mut opt = optimizer.build(det.params(), lr);
-    let traced = rec.is_enabled();
-    opt.set_instrumented(traced);
-    let mut rng = Prng::new(seed ^ 0xDE7E);
-    let n = train.len();
-    // Warmup from lr/10 over the warmup epochs, then the budgeted schedule
-    // over the remaining samples (warmup excluded from the budget).
-    let spec = ScheduleSpec::WithWarmup(Box::new(schedule), (warmup_epochs * n) as u64, 0.1);
-    let total_samples = (n * (epochs + warmup_epochs)) as u64;
-    let mut driver = ScheduleDriver::new(&spec, total_samples, lr);
-
-    rec.emit(Event::RunStart {
-        run: "detection".to_owned(),
-        schedule: driver.schedule.name().to_owned(),
-        optimizer: optimizer.name().to_owned(),
-        seed,
-        total_samples,
+    };
+    let warmup_samples = (warmup_epochs * train.len()) as u64;
+    let mut trainer = Trainer::new(TrainConfig {
+        epochs: cfg.epochs + warmup_epochs,
+        schedule: ScheduleSpec::WithWarmup(Box::new(cfg.schedule.clone()), warmup_samples, 0.1),
+        ..cfg
     });
-    let grid = train.grid;
-    let mut step: u64 = 0;
-    for epoch in 0..(epochs + warmup_epochs) {
-        // shuffle scene indices directly: the targets live in parallel
-        // arrays, so batches() cannot assemble them for us
-        let order = rng.permutation(n);
-        if traced {
-            rec.emit(Event::Epoch {
-                epoch: epoch as u64,
-                samples: n as u64,
-                batches: n.div_ceil(batch_size) as u64,
-                shuffled: true,
-            });
-        }
-        for (batch_id, chunk) in order.chunks(batch_size).enumerate() {
-            driver.apply(opt.as_mut(), chunk.len());
-            opt.zero_grad();
-            let images = train.images.gather_rows(chunk);
-            let objectness = train.objectness.gather_rows(chunk);
-            let boxes = train.boxes.gather_rows(chunk);
-            let mut classes = Vec::with_capacity(chunk.len() * grid * grid);
-            for &i in chunk {
-                classes
-                    .extend_from_slice(&train.cell_classes[i * grid * grid..(i + 1) * grid * grid]);
-            }
-            let targets = DetectionTargets::new(objectness, boxes, classes)?;
-            let mut g = Graph::new(true);
-            let x = g.constant(images);
-            let loss = det.loss(&mut g, x, &targets)?;
-            g.backward(loss)?;
-            let grad_norm = if traced {
-                global_grad_norm(opt.params())
-            } else {
-                0.0
-            };
-            opt.step();
-            if traced {
-                rec.emit(Event::Step(StepRecord {
-                    step,
-                    epoch: epoch as u64,
-                    batch_id: batch_id as u64,
-                    lr: driver.last_lr as f64,
-                    loss: g.value(loss).item() as f64,
-                    grad_norm: grad_norm as f64,
-                    param_norm: global_param_norm(opt.params()) as f64,
-                    elapsed_ns: 0,
-                }));
-            }
-            step += 1;
-        }
-    }
-    let metric = detection_map(&det, test)?;
-    rec.emit(Event::RunEnd { metric });
-    rec.flush();
-    Ok(metric)
+    Ok(trainer.train(&obj, rec)?.final_metric)
 }
 
 /// Evaluates a detector's mAP@0.5 (%) over a scene set.
@@ -495,166 +273,163 @@ pub fn detection_map(det: &TinyDetector, test: &SceneDataset) -> Result<f64, Ten
     Ok(mean_average_precision(&preds, &gts, test.num_classes, 0.5))
 }
 
-/// Pre-trains a [`TinyTransformer`] on a masked-token corpus — the shared
-/// "BERT checkpoint" that every GLUE cell fine-tunes from.
-///
-/// # Errors
-///
-/// Propagates [`TensorError`]s from the model.
-pub fn pretrain_transformer(
-    corpus: &LmCorpus,
-    cfg: TransformerConfig,
-    epochs: usize,
-    batch_size: usize,
-    lr: f32,
-    seed: u64,
-) -> Result<TinyTransformer, TensorError> {
-    let tf = TinyTransformer::new(cfg, seed);
-    let mut opt = OptimizerKind::adamw().build(tf.params(), lr);
-    let mut rng = Prng::new(seed ^ 0x93A5);
-    let t_len = corpus.seq_len;
-    for _ in 0..epochs {
-        let order = rng.permutation(corpus.n);
-        for chunk in order.chunks(batch_size) {
-            opt.zero_grad();
-            let mut inputs = Vec::with_capacity(chunk.len() * t_len);
-            let mut targets = Vec::with_capacity(chunk.len() * t_len);
-            for &i in chunk {
-                inputs.extend_from_slice(&corpus.inputs[i * t_len..(i + 1) * t_len]);
-                targets.extend_from_slice(&corpus.targets[i * t_len..(i + 1) * t_len]);
-            }
-            let mut g = Graph::new(true);
-            let logits = tf.lm_logits(&mut g, &inputs, chunk.len())?;
-            let loss = g.cross_entropy(logits, &targets)?;
-            g.backward(loss)?;
-            clip_grad_norm(opt.params(), 1.0);
-            opt.step();
-        }
-    }
-    Ok(tf)
+/// Masked-token pretraining of a [`TinyTransformer`], scored by the
+/// eval-mode LM loss over the corpus.
+struct PretrainObjective<'a> {
+    tf: TinyTransformer,
+    corpus: &'a LmCorpus,
 }
 
-/// Fine-tunes a copy of `pretrained` on one GLUE task for `epochs` and
-/// returns the test accuracy (%). One cell of Tables 10–11.
+impl PretrainObjective<'_> {
+    /// Token inputs and targets of corpus rows `rows`, concatenated.
+    fn rows(&self, rows: impl Iterator<Item = usize>) -> (Vec<usize>, Vec<usize>) {
+        let t_len = self.corpus.seq_len;
+        let mut inputs = Vec::new();
+        let mut targets = Vec::new();
+        for i in rows {
+            inputs.extend_from_slice(&self.corpus.inputs[i * t_len..(i + 1) * t_len]);
+            targets.extend_from_slice(&self.corpus.targets[i * t_len..(i + 1) * t_len]);
+        }
+        (inputs, targets)
+    }
+}
+
+impl Objective for PretrainObjective<'_> {
+    fn run(&self) -> String {
+        "pretrain".to_owned()
+    }
+
+    fn params(&self) -> Vec<Param> {
+        self.tf.params()
+    }
+
+    fn train_len(&self) -> usize {
+        self.corpus.n
+    }
+
+    fn shuffle_rng(&self, seed: u64) -> Prng {
+        Prng::new(seed ^ 0x93A5)
+    }
+
+    fn loss(&self, g: &mut Graph, rows: &[usize], _rng: &mut Prng) -> Result<NodeId, TensorError> {
+        let (inputs, targets) = self.rows(rows.iter().copied());
+        let logits = self.tf.lm_logits(g, &inputs, rows.len())?;
+        g.cross_entropy(logits, &targets)
+    }
+
+    fn metric(&self) -> Result<f64, TensorError> {
+        let n = self.corpus.n;
+        let mut total = 0.0f64;
+        for start in (0..n).step_by(32) {
+            let end = (start + 32).min(n);
+            let (inputs, targets) = self.rows(start..end);
+            let mut g = Graph::new(false);
+            let logits = self.tf.lm_logits(&mut g, &inputs, end - start)?;
+            let loss = g.cross_entropy(logits, &targets)?;
+            total += g.value(loss).item() as f64 * (end - start) as f64;
+        }
+        Ok(total / n.max(1) as f64)
+    }
+}
+
+/// Pre-trains a [`TinyTransformer`] on a masked-token corpus — the shared
+/// "BERT checkpoint" that every GLUE cell fine-tunes from. The paper's
+/// recipe is AdamW at a constant LR (`ScheduleSpec::None`) with gradients
+/// clipped to norm 1.0; `cfg` states it. The model is seeded from
+/// `cfg.seed`, the loop's shuffling from `cfg.seed ^ 0x93A5`.
 ///
 /// # Errors
 ///
-/// Propagates [`TensorError`]s from the model.
-#[allow(clippy::too_many_arguments)]
+/// Propagates [`TrainError`]s from the trainer.
+pub fn pretrain_transformer(
+    corpus: &LmCorpus,
+    model: TransformerConfig,
+    cfg: TrainConfig,
+    rec: &mut Recorder,
+) -> Result<TinyTransformer, TrainError> {
+    let obj = PretrainObjective {
+        tf: TinyTransformer::new(model, cfg.seed),
+        corpus,
+    };
+    Trainer::new(cfg).train(&obj, rec)?;
+    Ok(obj.tf)
+}
+
+/// GLUE fine-tuning: the pretrained encoder plus a fresh linear head,
+/// scored by test accuracy (%).
+struct GlueObjective<'a> {
+    tf: TinyTransformer,
+    head: Linear,
+    task: &'a TextTask,
+    /// The loop's stream, positioned after the head's initialisation.
+    shuffle: Prng,
+}
+
+impl Objective for GlueObjective<'_> {
+    fn run(&self) -> String {
+        format!("glue:{}", self.task.name)
+    }
+
+    fn params(&self) -> Vec<Param> {
+        let mut params = self.tf.encoder_params();
+        params.extend(self.head.params());
+        params
+    }
+
+    fn train_len(&self) -> usize {
+        self.task.train_len()
+    }
+
+    fn shuffle_rng(&self, _seed: u64) -> Prng {
+        self.shuffle.clone()
+    }
+
+    fn loss(&self, g: &mut Graph, rows: &[usize], _rng: &mut Prng) -> Result<NodeId, TensorError> {
+        let t_len = self.task.seq_len;
+        let mut tokens = Vec::with_capacity(rows.len() * t_len);
+        let mut labels = Vec::with_capacity(rows.len());
+        for &i in rows {
+            tokens.extend_from_slice(&self.task.train_tokens[i * t_len..(i + 1) * t_len]);
+            labels.push(self.task.train_labels[i]);
+        }
+        let logits = self.tf.classify(g, &tokens, rows.len(), &self.head)?;
+        g.cross_entropy(logits, &labels)
+    }
+
+    fn validation_loss(&self) -> Result<f64, TensorError> {
+        Ok(100.0 - glue_accuracy(&self.tf, &self.head, self.task)?)
+    }
+
+    fn metric(&self) -> Result<f64, TensorError> {
+        glue_accuracy(&self.tf, &self.head, self.task)
+    }
+}
+
+/// Fine-tunes a copy of `pretrained` on one GLUE task and returns the
+/// test accuracy (%). One cell of Tables 10–11, whose recipe is AdamW
+/// with gradients clipped to norm 1.0; `cfg` states it. The task head is
+/// initialised from `cfg.seed ^ 0x61E5`, and the loop's shuffling
+/// continues that same stream.
+///
+/// # Errors
+///
+/// Propagates [`TrainError`]s from the trainer.
 pub fn run_glue_cell(
     pretrained: &TinyTransformer,
     task: &TextTask,
-    epochs: usize,
-    batch_size: usize,
-    schedule: ScheduleSpec,
-    lr: f32,
-    seed: u64,
-) -> Result<f64, TensorError> {
-    run_glue_cell_traced(
-        pretrained,
-        task,
-        epochs,
-        batch_size,
-        schedule,
-        lr,
-        seed,
-        &mut Recorder::disabled(),
-    )
-}
-
-/// [`run_glue_cell`] with telemetry emitted into `rec`.
-///
-/// # Errors
-///
-/// Propagates [`TensorError`]s from the model.
-#[allow(clippy::too_many_arguments)]
-pub fn run_glue_cell_traced(
-    pretrained: &TinyTransformer,
-    task: &TextTask,
-    epochs: usize,
-    batch_size: usize,
-    schedule: ScheduleSpec,
-    lr: f32,
-    seed: u64,
+    cfg: TrainConfig,
     rec: &mut Recorder,
-) -> Result<f64, TensorError> {
-    let tf = pretrained.clone_weights(seed);
-    let mut rng = Prng::new(seed ^ 0x61E5);
-    let head = Linear::new("task_head", tf.config().dim, task.num_classes, &mut rng);
-    let mut params = tf.encoder_params();
-    params.extend(head.params());
-    let mut opt = OptimizerKind::adamw().build(params, lr);
-    let traced = rec.is_enabled();
-    opt.set_instrumented(traced);
-
-    let t_len = task.seq_len;
-    let n = task.train_len();
-    let total_samples = (n * epochs) as u64;
-    let mut driver = ScheduleDriver::new(&schedule, total_samples, lr);
-    let needs_val = schedule.needs_validation_feedback();
-
-    rec.emit(Event::RunStart {
-        run: format!("glue:{}", task.name),
-        schedule: driver.schedule.name().to_owned(),
-        optimizer: OptimizerKind::adamw().name().to_owned(),
-        seed,
-        total_samples,
-    });
-    let mut step: u64 = 0;
-    for epoch in 0..epochs {
-        let order = rng.permutation(n);
-        if traced {
-            rec.emit(Event::Epoch {
-                epoch: epoch as u64,
-                samples: n as u64,
-                batches: n.div_ceil(batch_size) as u64,
-                shuffled: true,
-            });
-        }
-        for (batch_id, chunk) in order.chunks(batch_size).enumerate() {
-            driver.apply(opt.as_mut(), chunk.len());
-            opt.zero_grad();
-            let mut tokens = Vec::with_capacity(chunk.len() * t_len);
-            let mut labels = Vec::with_capacity(chunk.len());
-            for &i in chunk {
-                tokens.extend_from_slice(&task.train_tokens[i * t_len..(i + 1) * t_len]);
-                labels.push(task.train_labels[i]);
-            }
-            let mut g = Graph::new(true);
-            let logits = tf.classify(&mut g, &tokens, chunk.len(), &head)?;
-            let loss = g.cross_entropy(logits, &labels)?;
-            g.backward(loss)?;
-            let grad_norm = clip_grad_norm(opt.params(), 1.0);
-            opt.step();
-            if traced {
-                rec.emit(Event::Step(StepRecord {
-                    step,
-                    epoch: epoch as u64,
-                    batch_id: batch_id as u64,
-                    lr: driver.last_lr as f64,
-                    loss: g.value(loss).item() as f64,
-                    grad_norm: grad_norm as f64,
-                    param_norm: global_param_norm(opt.params()) as f64,
-                    elapsed_ns: 0,
-                }));
-            }
-            step += 1;
-        }
-        if needs_val {
-            let vl = 100.0 - glue_accuracy(&tf, &head, task)?;
-            driver.on_validation(vl);
-            if traced {
-                rec.emit(Event::Validation {
-                    epoch: epoch as u64,
-                    loss: vl,
-                });
-            }
-        }
-    }
-    let metric = glue_accuracy(&tf, &head, task)?;
-    rec.emit(Event::RunEnd { metric });
-    rec.flush();
-    Ok(metric)
+) -> Result<f64, TrainError> {
+    let tf = pretrained.clone_weights(cfg.seed);
+    let mut shuffle = Prng::new(cfg.seed ^ 0x61E5);
+    let head = Linear::new("task_head", tf.config().dim, task.num_classes, &mut shuffle);
+    let obj = GlueObjective {
+        tf,
+        head,
+        task,
+        shuffle,
+    };
+    Ok(Trainer::new(cfg).train(&obj, rec)?.final_metric)
 }
 
 /// Test accuracy (%) of a fine-tuned transformer + head on one task.
@@ -684,6 +459,7 @@ pub fn glue_accuracy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trainer::OptimizerKind;
     use rex_data::digits::synth_digits;
     use rex_data::images::synth_cifar10;
     use rex_data::scenes::synth_scenes;
@@ -695,12 +471,12 @@ mod tests {
         let err = run_image_cell(
             ImageModel::MicroResNet20,
             &data,
-            1,
-            16,
-            OptimizerKind::sgdm(),
-            ScheduleSpec::Rex,
-            0.05,
-            1,
+            TrainConfig {
+                batch_size: 16,
+                lr: 0.05,
+                ..TrainConfig::new(1, OptimizerKind::sgdm(), ScheduleSpec::Rex, 1)
+            },
+            &mut Recorder::disabled(),
         )
         .unwrap();
         assert!((0.0..=100.0).contains(&err));
@@ -717,12 +493,12 @@ mod tests {
         let trained = run_vae_cell(
             &train,
             &test,
-            4,
-            16,
-            OptimizerKind::adam(),
-            ScheduleSpec::Rex,
-            1e-3,
-            5,
+            TrainConfig {
+                batch_size: 16,
+                lr: 1e-3,
+                ..TrainConfig::new(4, OptimizerKind::adam(), ScheduleSpec::Rex, 5)
+            },
+            &mut Recorder::disabled(),
         )
         .unwrap();
         assert!(trained < untrained, "{trained} !< {untrained}");
@@ -736,12 +512,12 @@ mod tests {
             &train,
             &test,
             1,
-            1,
-            8,
-            OptimizerKind::adam(),
-            ScheduleSpec::Linear,
-            1e-3,
-            2,
+            TrainConfig {
+                batch_size: 8,
+                lr: 1e-3,
+                ..TrainConfig::new(1, OptimizerKind::adam(), ScheduleSpec::Linear, 2)
+            },
+            &mut Recorder::disabled(),
         )
         .unwrap();
         assert!((0.0..=100.0).contains(&map));
@@ -758,10 +534,32 @@ mod tests {
             ff_mult: 2,
         };
         let corpus = lm_corpus(64, 12, 32, 0);
-        let tf = pretrain_transformer(&corpus, cfg, 2, 16, 1e-3, 3).unwrap();
+        let tf = pretrain_transformer(
+            &corpus,
+            cfg,
+            TrainConfig {
+                batch_size: 16,
+                lr: 1e-3,
+                grad_clip: Some(1.0),
+                ..TrainConfig::new(2, OptimizerKind::adamw(), ScheduleSpec::None, 3)
+            },
+            &mut Recorder::disabled(),
+        )
+        .unwrap();
         let tasks = glue_tasks(128, 64, 12, 32, 4);
         let sst2 = tasks.iter().find(|t| t.name == "SST-2").unwrap();
-        let acc = run_glue_cell(&tf, sst2, 3, 8, ScheduleSpec::Linear, 3e-3, 5).unwrap();
+        let acc = run_glue_cell(
+            &tf,
+            sst2,
+            TrainConfig {
+                batch_size: 8,
+                lr: 3e-3,
+                grad_clip: Some(1.0),
+                ..TrainConfig::new(3, OptimizerKind::adamw(), ScheduleSpec::Linear, 5)
+            },
+            &mut Recorder::disabled(),
+        )
+        .unwrap();
         assert!(acc > 55.0, "accuracy {acc} not above chance");
     }
 }

@@ -1,14 +1,14 @@
 use crate::error::TrainError;
 use crate::lineage::Lineage;
+use crate::objective::Objective;
 use crate::snapshot::TrainState;
 use rex_autograd::{Graph, Param};
 use rex_core::{Schedule, ScheduleSpec};
-use rex_data::{augment_hflip, batches, batches_traced};
-use rex_nn::{checkpoint, Module};
+use rex_nn::checkpoint;
 use rex_optim::{clip_grad_norm, global_grad_norm, global_param_norm, Adam, Optimizer, Sgd};
 use rex_telemetry::span::span;
 use rex_telemetry::{Event, Recorder, StepRecord};
-use rex_tensor::{DType, Prng, Tensor, TensorError};
+use rex_tensor::{DType, Prng};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -264,10 +264,10 @@ pub struct TrainResult {
 
 /// The generic budget-aware training loop.
 ///
-/// `Trainer` is deliberately model-agnostic: the caller supplies closures
-/// for the per-batch loss and (optionally) the per-epoch validation loss.
-/// The schedule is stepped **per iteration** against the budgeted total
-/// step count, exactly as the paper prescribes.
+/// `Trainer` is deliberately model-agnostic: an [`Objective`] supplies
+/// the parameters, the per-batch loss, the per-epoch validation loss, and
+/// the final metric. The schedule is stepped **per iteration** against
+/// the budgeted total sample count, exactly as the paper prescribes.
 pub struct Trainer {
     config: TrainConfig,
     schedule: Box<dyn Schedule>,
@@ -296,37 +296,21 @@ impl Trainer {
         &self.config
     }
 
-    /// Runs the loop over an image-classification dataset with the given
-    /// model, returning the final test error (%) and history.
+    /// Runs the budgeted loop on `obj` and returns its final metric and
+    /// per-epoch history. This is the only optimizer-step loop in the
+    /// crate: every setting's cell runner drives its objective through it.
     ///
-    /// # Errors
+    /// Each epoch shuffles the training rows with the loop's stream
+    /// ([`Objective::shuffle_rng`]) and trains on them in chunks of
+    /// `batch_size`. The LR (and momentum) is sampled from the schedule
+    /// before every step against the budgeted sample horizon; plateau
+    /// schedules get [`Objective::validation_loss`] after every epoch.
     ///
-    /// Propagates [`TensorError`]s from the model's forward/backward
-    /// (as [`TrainError::Tensor`]) plus any fault-tolerance failure.
-    pub fn train_classifier(
-        &mut self,
-        model: &dyn Module,
-        train_images: &Tensor,
-        train_labels: &[usize],
-        test_images: &Tensor,
-        test_labels: &[usize],
-    ) -> Result<TrainResult, TrainError> {
-        self.train_classifier_traced(
-            model,
-            train_images,
-            train_labels,
-            test_images,
-            test_labels,
-            &mut Recorder::disabled(),
-        )
-    }
-
-    /// [`Trainer::train_classifier`] with telemetry: emits run/epoch
-    /// boundaries, one [`StepRecord`] per optimizer step (applied LR, batch
-    /// loss, pre-clip gradient norm, post-step parameter norm), validation
-    /// passes, and the final metric into `rec`. With a disabled recorder
-    /// this is exactly the plain loop — norms are not even computed
-    /// (unless a numeric guard needs them).
+    /// Telemetry goes to `rec`: run/epoch boundaries, one [`StepRecord`]
+    /// per optimizer step (applied LR, batch loss, pre-clip gradient
+    /// norm, post-step parameter norm), validation passes, and the final
+    /// metric. With a disabled recorder norms are not even computed
+    /// (unless a numeric guard or clipping needs them).
     ///
     /// With `cfg.ft.checkpoint_every` set, a full [`TrainState`] is
     /// written crash-consistently every N steps; `cfg.ft.resume_from`
@@ -335,16 +319,12 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Propagates [`TensorError`]s from the model's forward/backward
-    /// (as [`TrainError::Tensor`]), checkpoint/resume failures, guard
-    /// aborts, and the deliberate [`TrainError::Halted`].
-    pub fn train_classifier_traced(
+    /// Propagates [`TensorError`]s from the objective (as
+    /// [`TrainError::Tensor`]), checkpoint/resume failures, guard aborts,
+    /// and the deliberate [`TrainError::Halted`].
+    pub fn train(
         &mut self,
-        model: &dyn Module,
-        train_images: &Tensor,
-        train_labels: &[usize],
-        test_images: &Tensor,
-        test_labels: &[usize],
+        obj: &dyn Objective,
         rec: &mut Recorder,
     ) -> Result<TrainResult, TrainError> {
         let cfg = self.config.clone();
@@ -356,7 +336,7 @@ impl Trainer {
                 cfg.dtype
             )));
         }
-        let mut opt = cfg.optimizer.build(model.params(), cfg.lr);
+        let mut opt = cfg.optimizer.build(obj.params(), cfg.lr);
         opt.set_param_dtype(cfg.dtype);
         if cfg.dtype != DType::F32 {
             // project the fresh initialisation onto the storage grid; from
@@ -364,7 +344,7 @@ impl Trainer {
             for p in opt.params() {
                 cfg.dtype.round_slice(p.value_mut().data_mut());
             }
-            round_buffers(cfg.dtype, model);
+            round_buffers(cfg.dtype, obj);
         }
         let traced = rec.is_enabled();
         opt.set_instrumented(traced);
@@ -375,10 +355,11 @@ impl Trainer {
         // step. (When the dataset size divides the batch size the
         // progress fractions — and therefore the LR trajectory — are
         // identical to per-step accounting.)
-        let total_samples = train_labels.len() as u64 * cfg.epochs as u64;
+        let n = obj.train_len();
+        let total_samples = n as u64 * cfg.epochs as u64;
         let needs_val = cfg.schedule.needs_validation_feedback();
 
-        let mut rng = Prng::new(cfg.seed);
+        let mut rng = obj.shuffle_rng(cfg.seed);
         let mut st = LoopSt::fresh(cfg.lr, cfg.epochs);
         if let Some(resume_path) = &ft.resume_from {
             // a directory is a checkpoint lineage: resolve the newest
@@ -393,12 +374,12 @@ impl Trainer {
                 path: resume_path.clone(),
                 source,
             })?;
-            self.check_resume(&state, &cfg, total_samples)?;
-            restore_from(&state, model, opt.as_mut(), &mut rng, &mut st, rec)?;
+            self.check_resume(&state, &cfg, &obj.run(), total_samples)?;
+            restore_from(&state, obj, opt.as_mut(), &mut rng, &mut st, rec)?;
             rec.emit(Event::Resume { step: st.step });
         } else {
             rec.emit(Event::RunStart {
-                run: "classifier".to_owned(),
+                run: obj.run(),
                 schedule: self.schedule.name().to_owned(),
                 optimizer: cfg.optimizer.name().to_owned(),
                 seed: cfg.seed,
@@ -418,7 +399,7 @@ impl Trainer {
         let _job_span = span("job");
         'run: while (st.epoch as usize) < cfg.epochs {
             let _epoch_span = span("epoch");
-            let batch_vec = if st.mid_epoch {
+            let order = if st.mid_epoch {
                 st.mid_epoch = false;
                 // Rebuild the in-flight epoch's batch order by replaying
                 // the saved pre-shuffle RNG state; the live stream `rng`
@@ -426,30 +407,25 @@ impl Trainer {
                 // batch's augmentation), exactly where the uninterrupted
                 // run was. The Epoch event is in the trace prefix — not
                 // re-emitted.
-                let mut epoch_rng = Prng::from_state(st.rng_epoch_start);
-                batches(
-                    train_images,
-                    train_labels,
-                    cfg.batch_size,
-                    Some(&mut epoch_rng),
-                )
+                Prng::from_state(st.rng_epoch_start).permutation(n)
             } else {
                 st.rng_epoch_start = rng.state();
                 st.batch_in_epoch = 0;
                 st.epoch_loss = 0.0;
                 st.epoch_batches = 0;
-                batches_traced(
-                    train_images,
-                    train_labels,
-                    cfg.batch_size,
-                    Some(&mut rng),
-                    rec,
-                    st.epoch,
-                )
+                let order = rng.permutation(n);
+                rec.emit(Event::Epoch {
+                    epoch: st.epoch,
+                    samples: n as u64,
+                    batches: n.div_ceil(cfg.batch_size) as u64,
+                    shuffled: true,
+                });
+                order
             };
-            while (st.batch_in_epoch as usize) < batch_vec.len() {
+            let batch_rows: Vec<&[usize]> = order.chunks(cfg.batch_size).collect();
+            while (st.batch_in_epoch as usize) < batch_rows.len() {
                 let _step_span = span("step");
-                let batch = &batch_vec[st.batch_in_epoch as usize];
+                let rows = batch_rows[st.batch_in_epoch as usize];
                 let step_start = traced.then(Instant::now);
                 let factor = self.schedule.factor(st.samples_done, total_samples) as f32;
                 st.last_lr = cfg.lr * factor;
@@ -458,43 +434,14 @@ impl Trainer {
                     opt.set_momentum(m as f32);
                 }
                 opt.zero_grad();
-                let data_span = span("data");
-                let images = if cfg.augment && batch.images.ndim() == 4 {
-                    augment_hflip(&batch.images, &mut rng)
-                } else {
-                    batch.images.clone()
-                };
-                drop(data_span);
                 let fwd_span = span("forward");
                 let mut g = Graph::new(true);
-                let x = g.constant(images);
-                let logits = model.forward(&mut g, x)?;
-                let loss = g.cross_entropy(logits, &batch.labels)?;
+                let loss = obj.loss(&mut g, rows, &mut rng)?;
                 let mut batch_loss = g.value(loss).item() as f64;
                 drop(fwd_span);
                 if rex_faults::poison_loss(st.step) {
                     batch_loss = f64::NAN;
                 }
-                if guard_on && !batch_loss.is_finite() {
-                    match self.trip_guard(
-                        &ft,
-                        "loss".to_owned(),
-                        batch_loss,
-                        batch.labels.len() as u64,
-                        &mut st,
-                        &mut rolled_back_at,
-                        &mem_snap,
-                        model,
-                        opt.as_mut(),
-                        &mut rng,
-                        rec,
-                    )? {
-                        GuardOutcome::SkipBatch => continue,
-                        GuardOutcome::RestartFromSnapshot => continue 'run,
-                    }
-                }
-                st.epoch_loss += batch_loss;
-                st.epoch_batches += 1;
                 let bwd_span = span("backward");
                 g.backward(loss)?;
                 drop(bwd_span);
@@ -512,38 +459,70 @@ impl Trainer {
                 } else {
                     0.0
                 };
-                if guard_on && !grad_norm.is_finite() {
-                    // the accumulators already counted this batch; undo so
-                    // skip/rollback leave them consistent
-                    st.epoch_loss -= batch_loss;
-                    st.epoch_batches -= 1;
-                    let what = offending_grad(opt.params());
-                    match self.trip_guard(
-                        &ft,
-                        what,
-                        grad_norm as f64,
-                        batch.labels.len() as u64,
-                        &mut st,
-                        &mut rolled_back_at,
-                        &mem_snap,
-                        model,
-                        opt.as_mut(),
-                        &mut rng,
-                        rec,
-                    )? {
-                        GuardOutcome::SkipBatch => continue,
-                        GuardOutcome::RestartFromSnapshot => continue 'run,
+                let tripped = if !guard_on {
+                    None
+                } else if !batch_loss.is_finite() {
+                    Some(("loss".to_owned(), batch_loss))
+                } else if !grad_norm.is_finite() {
+                    Some((offending_grad(opt.params()), grad_norm as f64))
+                } else {
+                    None
+                };
+                if let Some((what, value)) = tripped {
+                    rec.emit(Event::GuardTrip {
+                        step: st.step,
+                        what: what.clone(),
+                        value,
+                        action: ft.guard.name().to_owned(),
+                    });
+                    match (ft.guard, &mem_snap) {
+                        (GuardPolicy::SkipStep, _) => {
+                            // the step is dropped but its samples still
+                            // count toward the budget clock — the schedule
+                            // keeps decaying on real time, and a repeatable
+                            // injection does not loop forever
+                            st.samples_done += rows.len() as u64;
+                            st.batch_in_epoch += 1;
+                            st.step += 1;
+                            continue;
+                        }
+                        (GuardPolicy::Rollback, Some(snap)) if rolled_back_at != Some(st.step) => {
+                            rolled_back_at = Some(st.step);
+                            restore_from(snap, obj, opt.as_mut(), &mut rng, &mut st, rec)?;
+                            continue 'run;
+                        }
+                        (GuardPolicy::Rollback, None) => {
+                            rec.flush();
+                            return Err(TrainError::Resume(
+                                "rollback requested before any checkpoint was taken".to_owned(),
+                            ));
+                        }
+                        (policy, _) => {
+                            rec.flush();
+                            let what = if policy == GuardPolicy::Rollback {
+                                format!("{what} (again after rollback)")
+                            } else {
+                                what
+                            };
+                            return Err(TrainError::NonFinite {
+                                step: st.step,
+                                what,
+                                value,
+                            });
+                        }
                     }
                 }
+                st.epoch_loss += batch_loss;
+                st.epoch_batches += 1;
                 opt.step();
                 if cfg.dtype != DType::F32 {
                     // batch-norm running stats were updated by the forward
                     // pass in full precision; round them like the params so
                     // a checkpoint serializes them losslessly
-                    round_buffers(cfg.dtype, model);
+                    round_buffers(cfg.dtype, obj);
                 }
                 drop(opt_span);
-                st.samples_done += batch.labels.len() as u64;
+                st.samples_done += rows.len() as u64;
                 if traced {
                     rec.emit(Event::Step(StepRecord {
                         step: st.step,
@@ -573,18 +552,8 @@ impl Trainer {
                         // records the cursor — a resume truncates the
                         // trace to exactly this prefix
                         rec.emit(Event::Checkpoint { step: st.step });
-                        rec.flush();
-                        let state = capture_state(
-                            &cfg,
-                            &st,
-                            &rng,
-                            opt.as_ref(),
-                            model,
-                            rec.lines_emitted(),
-                            total_samples,
-                            &self.schedule.name(),
-                        );
-                        write_snapshot(&ft, &state)?;
+                        let state =
+                            self.snapshot(obj, &st, &rng, opt.as_ref(), rec, total_samples)?;
                         last_ckpt_step = Some(st.step);
                         if ft.guard == GuardPolicy::Rollback {
                             mem_snap = Some(state);
@@ -601,18 +570,7 @@ impl Trainer {
                         // event: the cursor covers exactly the flushed
                         // deterministic prefix, so the resumed trace is
                         // still byte-identical to an uninterrupted run's
-                        rec.flush();
-                        let state = capture_state(
-                            &cfg,
-                            &st,
-                            &rng,
-                            opt.as_ref(),
-                            model,
-                            rec.lines_emitted(),
-                            total_samples,
-                            &self.schedule.name(),
-                        );
-                        write_snapshot(&ft, &state)?;
+                        self.snapshot(obj, &st, &rng, opt.as_ref(), rec, total_samples)?;
                     }
                     rec.flush();
                     return Err(TrainError::Halted { step: st.step });
@@ -620,7 +578,7 @@ impl Trainer {
             }
             let val_loss = if needs_val {
                 let _val_span = span("validation");
-                let vl = classification_loss(model, test_images, test_labels, cfg.batch_size)?;
+                let vl = obj.validation_loss()?;
                 self.schedule.on_validation(vl);
                 if traced {
                     rec.emit(Event::Validation {
@@ -648,7 +606,7 @@ impl Trainer {
             st.epoch += 1;
         }
 
-        let final_metric = evaluate_classifier(model, test_images, test_labels, cfg.batch_size)?;
+        let final_metric = obj.metric()?;
         rec.emit(Event::RunEnd {
             metric: final_metric,
         });
@@ -699,126 +657,94 @@ impl Trainer {
         &self,
         state: &TrainState,
         cfg: &TrainConfig,
+        run: &str,
         total_samples: u64,
     ) -> Result<(), TrainError> {
-        let mismatch = |field: &str, run: String, ckpt: String| {
-            Err(TrainError::Resume(format!(
-                "{field} mismatch: run has {run}, checkpoint has {ckpt}"
-            )))
-        };
-        if state.run != "classifier" {
-            return mismatch("run kind", "classifier".to_owned(), state.run.clone());
-        }
-        if state.schedule != self.schedule.name() {
-            return mismatch("schedule", self.schedule.name(), state.schedule.clone());
-        }
-        if state.optimizer != cfg.optimizer.name() {
-            return mismatch(
+        let fields = [
+            ("run kind", run.to_owned(), state.run.clone()),
+            ("schedule", self.schedule.name(), state.schedule.clone()),
+            (
                 "optimizer",
                 cfg.optimizer.name().to_owned(),
                 state.optimizer.clone(),
-            );
-        }
-        if state.seed != cfg.seed {
-            return mismatch("seed", cfg.seed.to_string(), state.seed.to_string());
-        }
-        if state.batch_size != cfg.batch_size as u64 {
-            return mismatch(
+            ),
+            ("seed", cfg.seed.to_string(), state.seed.to_string()),
+            (
                 "batch size",
                 cfg.batch_size.to_string(),
                 state.batch_size.to_string(),
-            );
-        }
-        if state.epochs != cfg.epochs as u64 {
-            return mismatch("epochs", cfg.epochs.to_string(), state.epochs.to_string());
-        }
-        if state.lr.to_bits() != cfg.lr.to_bits() {
-            return mismatch("initial lr", cfg.lr.to_string(), state.lr.to_string());
-        }
-        if state.dtype != cfg.dtype {
-            return mismatch("dtype", cfg.dtype.to_string(), state.dtype.to_string());
-        }
-        if state.total_samples != total_samples {
-            return mismatch(
+            ),
+            ("epochs", cfg.epochs.to_string(), state.epochs.to_string()),
+            // shortest round-trip formatting: equal strings, equal bits
+            ("initial lr", cfg.lr.to_string(), state.lr.to_string()),
+            ("dtype", cfg.dtype.to_string(), state.dtype.to_string()),
+            (
                 "dataset size (total samples)",
                 total_samples.to_string(),
                 state.total_samples.to_string(),
-            );
+            ),
+        ];
+        match fields.into_iter().find(|(_, run, ckpt)| run != ckpt) {
+            Some((field, run, ckpt)) => Err(TrainError::Resume(format!(
+                "{field} mismatch: run has {run}, checkpoint has {ckpt}"
+            ))),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Handles one numeric-guard trip. Returns how the loop should
-    /// proceed, or the abort error.
-    #[allow(clippy::too_many_arguments)]
-    fn trip_guard(
-        &mut self,
-        ft: &FtConfig,
-        what: String,
-        value: f64,
-        batch_samples: u64,
-        st: &mut LoopSt,
-        rolled_back_at: &mut Option<u64>,
-        mem_snap: &Option<TrainState>,
-        model: &dyn Module,
-        opt: &mut dyn Optimizer,
-        rng: &mut Prng,
+    /// Flushes the trace, photographs the live training objects into a
+    /// [`TrainState`] whose cursor covers the flushed prefix, and writes
+    /// it to disk. Returns the snapshot (the in-memory rollback target).
+    fn snapshot(
+        &self,
+        obj: &dyn Objective,
+        st: &LoopSt,
+        rng: &Prng,
+        opt: &dyn Optimizer,
         rec: &mut Recorder,
-    ) -> Result<GuardOutcome, TrainError> {
-        rec.emit(Event::GuardTrip {
+        total_samples: u64,
+    ) -> Result<TrainState, TrainError> {
+        rec.flush();
+        let cfg = &self.config;
+        let state = TrainState {
+            run: obj.run(),
+            schedule: self.schedule.name(),
+            optimizer: cfg.optimizer.name().to_owned(),
+            seed: cfg.seed,
+            total_samples,
+            batch_size: cfg.batch_size as u64,
+            epochs: cfg.epochs as u64,
+            lr: cfg.lr,
+            dtype: cfg.dtype,
+            backend: rex_tensor::backend::kind().to_string(),
+            simd_level: rex_tensor::backend::active().simd_level().to_owned(),
+            epoch: st.epoch,
+            batch_in_epoch: st.batch_in_epoch,
             step: st.step,
-            what: what.clone(),
-            value,
-            action: ft.guard.name().to_owned(),
-        });
-        match ft.guard {
-            GuardPolicy::Off | GuardPolicy::Abort => {
-                rec.flush();
-                Err(TrainError::NonFinite {
-                    step: st.step,
-                    what,
-                    value,
-                })
-            }
-            GuardPolicy::SkipStep => {
-                // the step is dropped but its samples still count toward
-                // the budget clock — the schedule keeps decaying on real
-                // time, and a repeatable injection does not loop forever
-                st.samples_done += batch_samples;
-                st.batch_in_epoch += 1;
-                st.step += 1;
-                Ok(GuardOutcome::SkipBatch)
-            }
-            GuardPolicy::Rollback => {
-                if *rolled_back_at == Some(st.step) {
-                    rec.flush();
-                    return Err(TrainError::NonFinite {
-                        step: st.step,
-                        what: format!("{what} (again after rollback)"),
-                        value,
-                    });
-                }
-                let Some(snap) = mem_snap else {
-                    rec.flush();
-                    return Err(TrainError::Resume(
-                        "rollback requested before any checkpoint was taken".to_owned(),
-                    ));
-                };
-                *rolled_back_at = Some(st.step);
-                restore_from(snap, model, opt, rng, st, rec)?;
-                Ok(GuardOutcome::RestartFromSnapshot)
-            }
-        }
+            samples_done: st.samples_done,
+            epoch_loss: st.epoch_loss,
+            epoch_batches: st.epoch_batches,
+            last_lr: st.last_lr,
+            history: st.history.clone(),
+            rng: rng.state(),
+            rng_epoch_start: st.rng_epoch_start,
+            sampler: obj.sampler().map(|s| s.borrow().state()),
+            trace_events: rec.lines_emitted(),
+            model: obj
+                .params()
+                .iter()
+                .map(|p| (p.name(), p.value().clone()))
+                .collect(),
+            buffers: obj
+                .buffers()
+                .iter()
+                .map(|(name, cell)| (name.clone(), cell.borrow().clone()))
+                .collect(),
+            optim: opt.export_state(),
+        };
+        write_snapshot(&cfg.ft, &state)?;
+        Ok(state)
     }
-}
-
-/// How the training loop continues after a guard trip that did not abort.
-enum GuardOutcome {
-    /// Skip this batch and continue the inner loop.
-    SkipBatch,
-    /// State was restored from the last checkpoint; restart the epoch
-    /// loop (mid-epoch).
-    RestartFromSnapshot,
 }
 
 /// Mutable position of the training loop — everything a snapshot captures
@@ -877,14 +803,14 @@ fn write_snapshot(ft: &FtConfig, state: &TrainState) -> Result<(), TrainError> {
 /// Shared by resume-from-file and in-memory rollback.
 fn restore_from(
     state: &TrainState,
-    model: &dyn Module,
+    obj: &dyn Objective,
     opt: &mut dyn Optimizer,
     rng: &mut Prng,
     st: &mut LoopSt,
     rec: &mut Recorder,
 ) -> Result<(), TrainError> {
-    checkpoint::restore_params(&state.model, &model.params()).map_err(TrainError::Resume)?;
-    let live = model.buffers();
+    checkpoint::restore_params(&state.model, &obj.params()).map_err(TrainError::Resume)?;
+    let live = obj.buffers();
     if live.len() != state.buffers.len() {
         return Err(TrainError::Resume(format!(
             "model has {} buffers, checkpoint has {}",
@@ -907,6 +833,21 @@ fn restore_from(
         }
         *cell.borrow_mut() = saved.1.clone();
     }
+    match (obj.sampler(), state.sampler) {
+        (Some(live), Some(saved)) => *live.borrow_mut() = Prng::from_state(saved),
+        (None, None) => {}
+        (live, _) => {
+            return Err(TrainError::Resume(format!(
+                "sampler stream mismatch: run has {}, checkpoint has {}",
+                if live.is_some() { "one" } else { "none" },
+                if state.sampler.is_some() {
+                    "one"
+                } else {
+                    "none"
+                }
+            )))
+        }
+    }
     opt.import_state(&state.optim).map_err(TrainError::Resume)?;
     *rng = Prng::from_state(state.rng);
     rec.set_lines_emitted(state.trace_events);
@@ -925,60 +866,11 @@ fn restore_from(
     Ok(())
 }
 
-/// Photographs the live training objects into a [`TrainState`].
-#[allow(clippy::too_many_arguments)]
-fn capture_state(
-    cfg: &TrainConfig,
-    st: &LoopSt,
-    rng: &Prng,
-    opt: &dyn Optimizer,
-    model: &dyn Module,
-    trace_events: u64,
-    total_samples: u64,
-    schedule_name: &str,
-) -> TrainState {
-    TrainState {
-        run: "classifier".to_owned(),
-        schedule: schedule_name.to_owned(),
-        optimizer: cfg.optimizer.name().to_owned(),
-        seed: cfg.seed,
-        total_samples,
-        batch_size: cfg.batch_size as u64,
-        epochs: cfg.epochs as u64,
-        lr: cfg.lr,
-        dtype: cfg.dtype,
-        backend: rex_tensor::backend::kind().to_string(),
-        simd_level: rex_tensor::backend::active().simd_level().to_owned(),
-        epoch: st.epoch,
-        batch_in_epoch: st.batch_in_epoch,
-        step: st.step,
-        samples_done: st.samples_done,
-        epoch_loss: st.epoch_loss,
-        epoch_batches: st.epoch_batches,
-        last_lr: st.last_lr,
-        history: st.history.clone(),
-        rng: rng.state(),
-        rng_epoch_start: st.rng_epoch_start,
-        trace_events,
-        model: model
-            .params()
-            .iter()
-            .map(|p| (p.name(), p.value().clone()))
-            .collect(),
-        buffers: model
-            .buffers()
-            .iter()
-            .map(|(name, cell)| (name.clone(), cell.borrow().clone()))
-            .collect(),
-        optim: opt.export_state(),
-    }
-}
-
 /// Rounds non-trainable model state (batch-norm running statistics) to
 /// the storage dtype in place. Pure per-element bit functions: identical
 /// at every backend and thread count.
-fn round_buffers(dtype: DType, model: &dyn Module) {
-    for (_, cell) in model.buffers() {
+fn round_buffers(dtype: DType, obj: &dyn Objective) {
+    for (_, cell) in obj.buffers() {
         dtype.round_slice(cell.borrow_mut().data_mut());
     }
 }
@@ -993,62 +885,41 @@ fn offending_grad(params: &[Param]) -> String {
     "grad".to_owned()
 }
 
-/// Test-set classification error (%) in eval mode.
-///
-/// # Errors
-///
-/// Propagates model forward errors.
-pub fn evaluate_classifier(
-    model: &dyn Module,
-    images: &Tensor,
-    labels: &[usize],
-    batch_size: usize,
-) -> Result<f64, TensorError> {
-    let mut predictions = Vec::with_capacity(labels.len());
-    for batch in batches(images, labels, batch_size, None) {
-        let mut g = Graph::new(false);
-        let x = g.constant(batch.images);
-        let logits = model.forward(&mut g, x)?;
-        predictions.extend(g.value(logits).argmax_rows()?);
-    }
-    Ok(rex_eval::stats::error_rate(&predictions, labels))
-}
-
-/// Mean test cross-entropy in eval mode (validation feedback for plateau
-/// schedules).
-///
-/// # Errors
-///
-/// Propagates model forward errors.
-pub fn classification_loss(
-    model: &dyn Module,
-    images: &Tensor,
-    labels: &[usize],
-    batch_size: usize,
-) -> Result<f64, TensorError> {
-    let mut total = 0.0f64;
-    let mut count = 0usize;
-    for batch in batches(images, labels, batch_size, None) {
-        let mut g = Graph::new(false);
-        let x = g.constant(batch.images);
-        let logits = model.forward(&mut g, x)?;
-        let loss = g.cross_entropy(logits, &batch.labels)?;
-        total += g.value(loss).item() as f64 * batch.labels.len() as f64;
-        count += batch.labels.len();
-    }
-    Ok(total / count.max(1) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objective::Classifier;
     use rex_data::images::synth_cifar10;
-    use rex_nn::Mlp;
+    use rex_data::ClassificationDataset;
+    use rex_nn::{Mlp, Module};
+    use rex_tensor::Tensor;
 
     fn flatten_images(t: &Tensor) -> Tensor {
         let n = t.shape()[0];
         let d: usize = t.shape()[1..].iter().product();
         t.reshape(&[n, d]).unwrap()
+    }
+
+    /// Trains `model` as a classifier of `data` (images flattened).
+    fn fit(
+        trainer: &mut Trainer,
+        model: &dyn Module,
+        data: &ClassificationDataset,
+        rec: &mut Recorder,
+    ) -> TrainResult {
+        let (train, test) = (
+            flatten_images(&data.train_images),
+            flatten_images(&data.test_images),
+        );
+        let obj = Classifier::new(
+            model,
+            &train,
+            &data.train_labels,
+            &test,
+            &data.test_labels,
+            trainer.config(),
+        );
+        trainer.train(&obj, rec).unwrap()
     }
 
     #[test]
@@ -1068,15 +939,7 @@ mod tests {
             dtype: DType::F32,
             ft: FtConfig::default(),
         });
-        let result = trainer
-            .train_classifier(
-                &model,
-                &flatten_images(&data.train_images),
-                &data.train_labels,
-                &flatten_images(&data.test_images),
-                &data.test_labels,
-            )
-            .unwrap();
+        let result = fit(&mut trainer, &model, &data, &mut Recorder::disabled());
         // chance is 90% error on 10 classes
         assert!(
             result.final_metric < 85.0,
@@ -1105,15 +968,7 @@ mod tests {
             dtype: DType::F32,
             ft: FtConfig::default(),
         });
-        let result = trainer
-            .train_classifier(
-                &model,
-                &flatten_images(&data.train_images),
-                &data.train_labels,
-                &flatten_images(&data.test_images),
-                &data.test_labels,
-            )
-            .unwrap();
+        let result = fit(&mut trainer, &model, &data, &mut Recorder::disabled());
         // the last epoch's final LR must be far below the initial LR:
         // the linear schedule decays over the budget, not the max epochs
         let last_lr = result.history.last().unwrap().lr;
@@ -1137,15 +992,7 @@ mod tests {
             dtype: DType::F32,
             ft: FtConfig::default(),
         });
-        let result = trainer
-            .train_classifier(
-                &model,
-                &flatten_images(&data.train_images),
-                &data.train_labels,
-                &flatten_images(&data.test_images),
-                &data.test_labels,
-            )
-            .unwrap();
+        let result = fit(&mut trainer, &model, &data, &mut Recorder::disabled());
         assert!(result.history.iter().all(|e| e.val_loss.is_some()));
 
         // non-plateau schedules skip the validation pass
@@ -1161,15 +1008,7 @@ mod tests {
             dtype: DType::F32,
             ft: FtConfig::default(),
         });
-        let r2 = trainer2
-            .train_classifier(
-                &model,
-                &flatten_images(&data.train_images),
-                &data.train_labels,
-                &flatten_images(&data.test_images),
-                &data.test_labels,
-            )
-            .unwrap();
+        let r2 = fit(&mut trainer2, &model, &data, &mut Recorder::disabled());
         assert!(r2.history.iter().all(|e| e.val_loss.is_none()));
     }
 
@@ -1191,16 +1030,7 @@ mod tests {
                 dtype: DType::F32,
                 ft: FtConfig::default(),
             });
-            trainer
-                .train_classifier(
-                    &model,
-                    &flatten_images(&data.train_images),
-                    &data.train_labels,
-                    &flatten_images(&data.test_images),
-                    &data.test_labels,
-                )
-                .unwrap()
-                .final_metric
+            fit(&mut trainer, &model, &data, &mut Recorder::disabled()).final_metric
         };
         assert_eq!(run(), run());
     }
@@ -1231,16 +1061,7 @@ mod tests {
             dtype: DType::F32,
             ft: FtConfig::default(),
         });
-        trainer
-            .train_classifier_traced(
-                &model,
-                &flatten_images(&data.train_images),
-                &data.train_labels,
-                &flatten_images(&data.test_images),
-                &data.test_labels,
-                &mut rec,
-            )
-            .unwrap();
+        fit(&mut trainer, &model, &data, &mut rec);
         let steps = handle.steps();
         assert_eq!(steps.len(), 3);
         let lrs: Vec<f64> = steps.iter().map(|r| r.lr).collect();
@@ -1271,16 +1092,7 @@ mod tests {
             dtype: DType::F32,
             ft: FtConfig::default(),
         });
-        let result = trainer
-            .train_classifier_traced(
-                &model,
-                &flatten_images(&data.train_images),
-                &data.train_labels,
-                &flatten_images(&data.test_images),
-                &data.test_labels,
-                &mut rec,
-            )
-            .unwrap();
+        let result = fit(&mut trainer, &model, &data, &mut rec);
         let events = handle.events();
         // 40 samples / batch 16 → 3 batches per epoch × 2 epochs
         let steps = handle.steps();
@@ -1323,15 +1135,7 @@ mod tests {
             dtype: DType::F32,
             ft: FtConfig::default(),
         });
-        let r2 = trainer2
-            .train_classifier(
-                &model2,
-                &flatten_images(&data.train_images),
-                &data.train_labels,
-                &flatten_images(&data.test_images),
-                &data.test_labels,
-            )
-            .unwrap();
+        let r2 = fit(&mut trainer2, &model2, &data, &mut Recorder::disabled());
         assert_eq!(r2.final_metric, result.final_metric);
     }
 

@@ -15,7 +15,7 @@ use rex_nn::{Mlp, Module};
 use rex_telemetry::{Event, MemorySink, Recorder};
 use rex_tensor::{Prng, Tensor};
 use rex_train::{
-    FtConfig, GuardPolicy, OptimizerKind, TrainConfig, TrainError, TrainResult, Trainer,
+    Classifier, FtConfig, GuardPolicy, OptimizerKind, TrainConfig, TrainError, TrainResult, Trainer,
 };
 
 fn flatten(t: &Tensor) -> Tensor {
@@ -50,14 +50,16 @@ fn run(
     m: &Mlp,
     rec: &mut Recorder,
 ) -> Result<TrainResult, TrainError> {
-    Trainer::new(cfg).train_classifier_traced(
+    let (train, test) = (flatten(&data.train_images), flatten(&data.test_images));
+    let obj = Classifier::new(
         m,
-        &flatten(&data.train_images),
+        &train,
         &data.train_labels,
-        &flatten(&data.test_images),
+        &test,
         &data.test_labels,
-        rec,
-    )
+        &cfg,
+    );
+    Trainer::new(cfg.clone()).train(&obj, rec)
 }
 
 fn tmp(name: &str) -> std::path::PathBuf {

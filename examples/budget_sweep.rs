@@ -8,8 +8,9 @@
 use rex::data::images::synth_cifar10;
 use rex::eval::table;
 use rex::schedules::{all_paper_schedules, ScheduleSpec};
+use rex::telemetry::Recorder;
 use rex::train::tasks::{run_image_cell, ImageModel};
-use rex::train::{Budget, OptimizerKind};
+use rex::train::{Budget, OptimizerKind, TrainConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let data = synth_cifar10(30, 10, 3);
@@ -32,12 +33,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let err = run_image_cell(
                 ImageModel::MicroResNet20,
                 &data,
-                budget.epochs(),
-                32,
-                OptimizerKind::sgdm(),
-                schedule.clone(),
-                0.1,
-                11,
+                TrainConfig {
+                    batch_size: 32,
+                    lr: 0.1,
+                    ..TrainConfig::new(budget.epochs(), OptimizerKind::sgdm(), schedule.clone(), 11)
+                },
+                &mut Recorder::disabled(),
             )?;
             eprintln!("{} @ {budget}: {err:.2}", schedule.name());
             col_values[ci].push(err);

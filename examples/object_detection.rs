@@ -9,8 +9,9 @@
 use rex::data::scenes::synth_scenes;
 use rex::nn::TinyDetector;
 use rex::schedules::ScheduleSpec;
+use rex::telemetry::Recorder;
 use rex::train::tasks::{detection_map, run_detection_cell};
-use rex::train::{Budget, OptimizerKind};
+use rex::train::{Budget, OptimizerKind, TrainConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let train = synth_scenes(240, 24, 5);
@@ -38,13 +39,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let map = run_detection_cell(
             &train,
             &test,
-            budget.epochs(),
             2, // warmup epochs, excluded from the budget (paper protocol)
-            16,
-            OptimizerKind::adam(),
-            ScheduleSpec::Rex,
-            1e-3,
-            42,
+            TrainConfig {
+                batch_size: 16,
+                lr: 1e-3,
+                ..TrainConfig::new(
+                    budget.epochs(),
+                    OptimizerKind::adam(),
+                    ScheduleSpec::Rex,
+                    42,
+                )
+            },
+            &mut Recorder::disabled(),
         )?;
         println!(
             "budget {budget}: mAP@0.5 {map:5.1}%  ({:.1?})",

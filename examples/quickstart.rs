@@ -11,8 +11,9 @@
 
 use rex::data::images::synth_cifar10;
 use rex::schedules::ScheduleSpec;
+use rex::telemetry::Recorder;
 use rex::train::tasks::{run_image_cell, ImageModel};
-use rex::train::{Budget, OptimizerKind};
+use rex::train::{Budget, OptimizerKind, TrainConfig};
 
 const SEEDS: std::ops::Range<u64> = 0..5;
 
@@ -46,12 +47,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             errs.push(run_image_cell(
                 ImageModel::MicroResNet20,
                 &data,
-                budget.epochs(),
-                32,
-                OptimizerKind::sgdm(),
-                schedule.clone(),
-                0.1,
-                seed,
+                TrainConfig {
+                    batch_size: 32,
+                    lr: 0.1,
+                    ..TrainConfig::new(
+                        budget.epochs(),
+                        OptimizerKind::sgdm(),
+                        schedule.clone(),
+                        seed,
+                    )
+                },
+                &mut Recorder::disabled(),
             )?);
         }
         let mean = errs.iter().sum::<f64>() / errs.len() as f64;

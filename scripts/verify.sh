@@ -92,6 +92,35 @@ for t in 1 4; do
   cmp "$tmp_dir/full_$t.jsonl" "$tmp_dir/cut_$t.jsonl"
 done
 cmp "$tmp_dir/full_1.jsonl" "$tmp_dir/full_4.jsonl"
+# the VAE runs through the same loop: its snapshots also carry the
+# reparameterisation sampler, so a kill mid-epoch resumes to the same
+# bytes; plus a half-precision VAE smoke run
+for t in 1 4; do
+  cargo run --release --offline -p rex-cli --bin rexctl -- \
+    train --setting vae-mnist --budget 1 --schedule rex --optimizer adam --seed 7 \
+    --threads "$t" --checkpoint "$tmp_dir/vae_full_$t.state" --checkpoint-every 10 \
+    --trace "$tmp_dir/vae_full_$t.jsonl" >/dev/null
+  rc=0
+  REX_FAULTS=kill-at-step=37 cargo run --release --offline -p rex-cli --bin rexctl -- \
+    train --setting vae-mnist --budget 1 --schedule rex --optimizer adam --seed 7 \
+    --threads "$t" --checkpoint "$tmp_dir/vae_cut_$t.state" --checkpoint-every 10 \
+    --trace "$tmp_dir/vae_cut_$t.jsonl" >/dev/null 2>&1 || rc=$?
+  test "$rc" -eq 86
+  cargo run --release --offline -p rex-cli --bin rexctl -- \
+    train --setting vae-mnist --budget 1 --schedule rex --optimizer adam --seed 7 \
+    --threads "$t" --checkpoint "$tmp_dir/vae_cut_$t.state" --checkpoint-every 10 \
+    --resume "$tmp_dir/vae_cut_$t.state" --trace "$tmp_dir/vae_cut_$t.jsonl" >/dev/null
+  cmp "$tmp_dir/vae_full_$t.jsonl" "$tmp_dir/vae_cut_$t.jsonl"
+done
+cmp "$tmp_dir/vae_full_1.jsonl" "$tmp_dir/vae_full_4.jsonl"
+cargo run --release --offline -p rex-cli --bin rexctl -- \
+  train --setting vae-mnist --budget 1 --schedule rex --optimizer sgdm --seed 7 \
+  --dtype f16 --trace "$tmp_dir/vae_f16.jsonl" >/dev/null
+grep -q '"ev":"step"' "$tmp_dir/vae_f16.jsonl"
+if grep -q 'null' "$tmp_dir/vae_f16.jsonl"; then
+  echo "f16 VAE run produced a non-finite loss or norm" >&2
+  exit 1
+fi
 
 echo "==> dtype matrix (--dtype f16/bf16 smoke + kill-and-resume, 1 and 4 threads)"
 # mixed-precision storage obeys the same contracts as f32: a same-seed

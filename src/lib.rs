@@ -36,22 +36,18 @@
 //! ```no_run
 //! use rex::data::images::synth_cifar10;
 //! use rex::schedules::ScheduleSpec;
+//! use rex::telemetry::Recorder;
 //! use rex::train::tasks::{run_image_cell, ImageModel};
-//! use rex::train::{Budget, OptimizerKind};
+//! use rex::train::{Budget, OptimizerKind, TrainConfig};
 //!
 //! let data = synth_cifar10(40, 15, 0);
 //! // 10% of a 24-epoch budget, REX schedule, SGD with momentum:
 //! let budget = Budget::new(24, 10);
-//! let err = run_image_cell(
-//!     ImageModel::MicroResNet20,
-//!     &data,
-//!     budget.epochs(),
-//!     32,
-//!     OptimizerKind::sgdm(),
-//!     ScheduleSpec::Rex,
-//!     0.1,
-//!     42,
-//! )?;
+//! let cfg = TrainConfig {
+//!     lr: 0.1,
+//!     ..TrainConfig::new(budget.epochs(), OptimizerKind::sgdm(), ScheduleSpec::Rex, 42)
+//! };
+//! let err = run_image_cell(ImageModel::MicroResNet20, &data, cfg, &mut Recorder::disabled())?;
 //! println!("test error at 10% budget: {err:.2}%");
 //! # Ok::<(), rex::train::TrainError>(())
 //! ```

@@ -8,11 +8,12 @@ use rex::data::scenes::synth_scenes;
 use rex::data::text::{glue_tasks, lm_corpus};
 use rex::nn::TransformerConfig;
 use rex::schedules::ScheduleSpec;
+use rex::telemetry::Recorder;
 use rex::train::tasks::{
     pretrain_transformer, run_detection_cell, run_glue_cell, run_image_cell, run_vae_cell,
     ImageModel,
 };
-use rex::train::{Budget, OptimizerKind};
+use rex::train::{Budget, OptimizerKind, TrainConfig};
 
 #[test]
 fn classification_setting_end_to_end() {
@@ -22,12 +23,12 @@ fn classification_setting_end_to_end() {
             let err = run_image_cell(
                 model,
                 &data,
-                1,
-                16,
-                opt,
-                ScheduleSpec::Rex,
-                opt.default_lr(),
-                7,
+                TrainConfig {
+                    batch_size: 16,
+                    lr: opt.default_lr(),
+                    ..TrainConfig::new(1, opt, ScheduleSpec::Rex, 7)
+                },
+                &mut Recorder::disabled(),
             )
             .unwrap();
             assert!((0.0..=100.0).contains(&err), "{model:?}/{opt:?}: {err}");
@@ -41,12 +42,12 @@ fn wide_resnet_setting_end_to_end() {
     let err = run_image_cell(
         ImageModel::MicroWide(2),
         &data,
-        1,
-        16,
-        OptimizerKind::sgdm(),
-        ScheduleSpec::Linear,
-        0.1,
-        3,
+        TrainConfig {
+            batch_size: 16,
+            lr: 0.1,
+            ..TrainConfig::new(1, OptimizerKind::sgdm(), ScheduleSpec::Linear, 3)
+        },
+        &mut Recorder::disabled(),
     )
     .unwrap();
     assert!((0.0..=100.0).contains(&err));
@@ -59,12 +60,12 @@ fn vae_setting_end_to_end() {
     let loss = run_vae_cell(
         &train,
         &test,
-        2,
-        16,
-        OptimizerKind::adam(),
-        ScheduleSpec::Cosine,
-        1e-3,
-        5,
+        TrainConfig {
+            batch_size: 16,
+            lr: 1e-3,
+            ..TrainConfig::new(2, OptimizerKind::adam(), ScheduleSpec::Cosine, 5)
+        },
+        &mut Recorder::disabled(),
     )
     .unwrap();
     assert!(loss.is_finite() && loss > 0.0);
@@ -78,12 +79,12 @@ fn detection_setting_end_to_end() {
         &train,
         &test,
         1,
-        1,
-        6,
-        OptimizerKind::adam(),
-        ScheduleSpec::Rex,
-        1e-3,
-        2,
+        TrainConfig {
+            batch_size: 6,
+            lr: 1e-3,
+            ..TrainConfig::new(1, OptimizerKind::adam(), ScheduleSpec::Rex, 2)
+        },
+        &mut Recorder::disabled(),
     )
     .unwrap();
     assert!((0.0..=100.0).contains(&map));
@@ -100,10 +101,32 @@ fn glue_setting_end_to_end() {
         ff_mult: 2,
     };
     let corpus = lm_corpus(32, 12, 32, 0);
-    let tf = pretrain_transformer(&corpus, cfg, 1, 8, 1e-3, 1).unwrap();
+    let tf = pretrain_transformer(
+        &corpus,
+        cfg,
+        TrainConfig {
+            batch_size: 8,
+            lr: 1e-3,
+            grad_clip: Some(1.0),
+            ..TrainConfig::new(1, OptimizerKind::adamw(), ScheduleSpec::None, 1)
+        },
+        &mut Recorder::disabled(),
+    )
+    .unwrap();
     let tasks = glue_tasks(24, 12, 12, 32, 2);
     for sched in [ScheduleSpec::Rex, ScheduleSpec::None] {
-        let acc = run_glue_cell(&tf, &tasks[0], 1, 8, sched, 1e-3, 3).unwrap();
+        let acc = run_glue_cell(
+            &tf,
+            &tasks[0],
+            TrainConfig {
+                batch_size: 8,
+                lr: 1e-3,
+                grad_clip: Some(1.0),
+                ..TrainConfig::new(1, OptimizerKind::adamw(), sched, 3)
+            },
+            &mut Recorder::disabled(),
+        )
+        .unwrap();
         assert!((0.0..=100.0).contains(&acc));
     }
 }
@@ -117,12 +140,12 @@ fn every_paper_schedule_survives_a_real_training_run() {
         let err = run_image_cell(
             ImageModel::MicroResNet20,
             &data,
-            2,
-            16,
-            OptimizerKind::sgdm(),
-            sched.clone(),
-            0.1,
-            11,
+            TrainConfig {
+                batch_size: 16,
+                lr: 0.1,
+                ..TrainConfig::new(2, OptimizerKind::sgdm(), sched.clone(), 11)
+            },
+            &mut Recorder::disabled(),
         )
         .unwrap_or_else(|e| panic!("{}: {e}", sched.name()));
         assert!(err.is_finite(), "{}: {err}", sched.name());
@@ -140,12 +163,12 @@ fn budget_protocol_rounds_up_and_scales() {
         run_image_cell(
             ImageModel::MicroResNet20,
             &data,
-            epochs,
-            16,
-            OptimizerKind::sgdm(),
-            ScheduleSpec::Linear,
-            0.1,
-            17,
+            TrainConfig {
+                batch_size: 16,
+                lr: 0.1,
+                ..TrainConfig::new(epochs, OptimizerKind::sgdm(), ScheduleSpec::Linear, 17)
+            },
+            &mut Recorder::disabled(),
         )
         .unwrap()
     };

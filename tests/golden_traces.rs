@@ -28,7 +28,7 @@ use rex::schedules::ScheduleSpec;
 use rex::telemetry::golden::{diff_traces, Tolerances};
 use rex::telemetry::{encode_trace, parse_trace, Event, MemorySink, Recorder};
 use rex::tensor::Prng;
-use rex::train::{Budget, FtConfig, OptimizerKind, TrainConfig, Trainer};
+use rex::train::{Budget, Classifier, FtConfig, OptimizerKind, TrainConfig, Trainer};
 
 /// Maximum epochs of the golden setting; budgets are percentages of this.
 const MAX_EPOCHS: usize = 8;
@@ -58,15 +58,16 @@ fn run_trace(spec: &ScheduleSpec, budget_pct: u32) -> Vec<Event> {
         dtype: rex::tensor::DType::F32,
         ft: FtConfig::default(),
     });
+    let obj = Classifier::new(
+        &model,
+        &train.images,
+        &train.labels,
+        &test.images,
+        &test.labels,
+        trainer.config(),
+    );
     trainer
-        .train_classifier_traced(
-            &model,
-            &train.images,
-            &train.labels,
-            &test.images,
-            &test.labels,
-            &mut rec,
-        )
+        .train(&obj, &mut rec)
         .expect("golden cell must train");
     handle.events()
 }
@@ -310,20 +311,19 @@ fn check_setting(name: &str, trace: &str) {
 /// VAE golden: a plateau schedule, so validation feedback is pinned too.
 #[test]
 fn golden_trace_vae_plateau() {
-    use rex::train::tasks::run_vae_cell_traced;
+    use rex::train::tasks::run_vae_cell;
 
     let train = synth_digits(48, 12, 0xA1);
     let test = synth_digits(16, 12, 0xA2);
     let trace = setting_trace(|rec| {
-        run_vae_cell_traced(
+        run_vae_cell(
             &train,
             &test,
-            3,
-            16,
-            OptimizerKind::adam(),
-            ScheduleSpec::DecayOnPlateau(1),
-            1e-3,
-            5,
+            TrainConfig {
+                batch_size: 16,
+                lr: 1e-3,
+                ..TrainConfig::new(3, OptimizerKind::adam(), ScheduleSpec::DecayOnPlateau(1), 5)
+            },
             rec,
         )
         .expect("vae cell must train");
@@ -335,21 +335,20 @@ fn golden_trace_vae_plateau() {
 #[test]
 fn golden_trace_detection_rex() {
     use rex::data::scenes::synth_scenes;
-    use rex::train::tasks::run_detection_cell_traced;
+    use rex::train::tasks::run_detection_cell;
 
     let train = synth_scenes(12, 24, 0xB1);
     let test = synth_scenes(6, 24, 0xB2);
     let trace = setting_trace(|rec| {
-        run_detection_cell_traced(
+        run_detection_cell(
             &train,
             &test,
             1,
-            1,
-            6,
-            OptimizerKind::adam(),
-            ScheduleSpec::Rex,
-            1e-3,
-            2,
+            TrainConfig {
+                batch_size: 6,
+                lr: 1e-3,
+                ..TrainConfig::new(1, OptimizerKind::adam(), ScheduleSpec::Rex, 2)
+            },
             rec,
         )
         .expect("detection cell must train");
@@ -363,7 +362,7 @@ fn golden_trace_detection_rex() {
 fn golden_trace_glue_plateau() {
     use rex::data::text::{glue_tasks, lm_corpus};
     use rex::nn::TransformerConfig;
-    use rex::train::tasks::{pretrain_transformer, run_glue_cell_traced};
+    use rex::train::tasks::{pretrain_transformer, run_glue_cell};
 
     let cfg = TransformerConfig {
         vocab: 32,
@@ -376,15 +375,32 @@ fn golden_trace_glue_plateau() {
     let corpus = lm_corpus(32, 12, 32, 0xC1);
     let tasks = glue_tasks(24, 12, 12, 32, 0xC2);
     let trace = setting_trace(|rec| {
-        let tf = pretrain_transformer(&corpus, cfg, 1, 8, 1e-3, 1).expect("pretraining");
-        run_glue_cell_traced(
+        let tf = pretrain_transformer(
+            &corpus,
+            cfg,
+            TrainConfig {
+                batch_size: 8,
+                lr: 1e-3,
+                grad_clip: Some(1.0),
+                ..TrainConfig::new(1, OptimizerKind::adamw(), ScheduleSpec::None, 1)
+            },
+            &mut Recorder::disabled(),
+        )
+        .expect("pretraining");
+        run_glue_cell(
             &tf,
             &tasks[0],
-            2,
-            8,
-            ScheduleSpec::DecayOnPlateau(1),
-            1e-3,
-            3,
+            TrainConfig {
+                batch_size: 8,
+                lr: 1e-3,
+                grad_clip: Some(1.0),
+                ..TrainConfig::new(
+                    2,
+                    OptimizerKind::adamw(),
+                    ScheduleSpec::DecayOnPlateau(1),
+                    3,
+                )
+            },
             rec,
         )
         .expect("glue cell must train");

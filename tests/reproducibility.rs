@@ -7,8 +7,9 @@ use rex::data::scenes::synth_scenes;
 use rex::data::text::glue_tasks;
 use rex::nn::{MicroResNet, Module};
 use rex::schedules::ScheduleSpec;
+use rex::telemetry::Recorder;
 use rex::train::tasks::{run_image_cell, run_vae_cell, ImageModel};
-use rex::train::OptimizerKind;
+use rex::train::{OptimizerKind, TrainConfig};
 
 #[test]
 fn datasets_are_seed_deterministic() {
@@ -52,12 +53,12 @@ fn full_training_cell_is_bit_reproducible() {
         run_image_cell(
             ImageModel::MicroResNet20,
             &data,
-            2,
-            16,
-            OptimizerKind::adam(),
-            ScheduleSpec::Rex,
-            1e-3,
-            99,
+            TrainConfig {
+                batch_size: 16,
+                lr: 1e-3,
+                ..TrainConfig::new(2, OptimizerKind::adam(), ScheduleSpec::Rex, 99)
+            },
+            &mut Recorder::disabled(),
         )
         .unwrap()
     };
@@ -74,12 +75,12 @@ fn vae_cell_is_bit_reproducible_despite_sampling() {
         run_vae_cell(
             &train,
             &test,
-            2,
-            16,
-            OptimizerKind::adam(),
-            ScheduleSpec::Linear,
-            1e-3,
-            5,
+            TrainConfig {
+                batch_size: 16,
+                lr: 1e-3,
+                ..TrainConfig::new(2, OptimizerKind::adam(), ScheduleSpec::Linear, 5)
+            },
+            &mut Recorder::disabled(),
         )
         .unwrap()
     };
@@ -93,12 +94,12 @@ fn different_trial_seeds_give_different_results() {
         run_image_cell(
             ImageModel::MicroResNet20,
             &data,
-            1,
-            16,
-            OptimizerKind::sgdm(),
-            ScheduleSpec::Rex,
-            0.1,
-            seed,
+            TrainConfig {
+                batch_size: 16,
+                lr: 0.1,
+                ..TrainConfig::new(1, OptimizerKind::sgdm(), ScheduleSpec::Rex, seed)
+            },
+            &mut Recorder::disabled(),
         )
         .unwrap()
     };

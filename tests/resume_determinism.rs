@@ -17,7 +17,7 @@ use rex::schedules::ScheduleSpec;
 use rex::telemetry::{JsonlSink, Recorder};
 use rex::tensor::Prng;
 use rex::train::{
-    FtConfig, OptimizerKind, TrainConfig, TrainError, TrainResult, TrainState, Trainer,
+    Classifier, FtConfig, OptimizerKind, TrainConfig, TrainError, TrainResult, TrainState, Trainer,
 };
 
 const SEED: u64 = 0xBEE5;
@@ -55,7 +55,7 @@ fn run_cell_dtype(
     let mut rng = Prng::new(SEED);
     let model = Mlp::new("m", &[144, 24, 10], &mut rng);
     let mut rec = Recorder::new(Box::new(sink));
-    let result = Trainer::new(TrainConfig {
+    let mut trainer = Trainer::new(TrainConfig {
         epochs: EPOCHS,
         batch_size: 16,
         lr: opt.default_lr(),
@@ -66,15 +66,16 @@ fn run_cell_dtype(
         seed: SEED,
         dtype,
         ft,
-    })
-    .train_classifier_traced(
+    });
+    let obj = Classifier::new(
         &model,
         &train.images,
         &train.labels,
         &test.images,
         &test.labels,
-        &mut rec,
+        trainer.config(),
     );
+    let result = trainer.train(&obj, &mut rec);
     rec.flush();
     result
 }

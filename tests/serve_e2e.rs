@@ -352,3 +352,60 @@ fn healthz_over_a_raw_socket() {
     drop(daemon);
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// The VAE is a full serving citizen: a `vae-mnist` job submitted with
+/// no explicit cadence checkpoints at rexd's default `checkpoint_every`
+/// (snapshots carrying the reparameterisation sampler), ends `done`, and
+/// streams a trace byte-identical to an in-process `run_ft` twin.
+#[test]
+fn vae_job_at_default_checkpoint_cadence_matches_in_process_twin() {
+    use rex::schedules::ScheduleSpec;
+    use rex::telemetry::{JsonlSink, Recorder};
+    use rex::train::settings::load_setting;
+    use rex::train::{FtConfig, OptimizerKind};
+
+    let dir = fresh_dir("vae");
+    let (budget, seed) = (1u32, 4u64);
+    let streamed = {
+        let daemon = start_daemon(&dir, None);
+        let id = submit(
+            daemon.addr,
+            &format!(
+                r#"{{"setting":"vae-mnist","budget":{budget},"schedule":"rex","optimizer":"adam","seed":{seed}}}"#
+            ),
+        );
+        wait_done(daemon.addr, &id, Duration::from_secs(60));
+        get(daemon.addr, &format!("/v1/jobs/{id}/trace")).body
+    };
+
+    let every = rex::serve::ServeConfig::default().default_checkpoint_every;
+    assert!(every > 0, "rexd checkpoints by default");
+    let twin_trace = dir.join("twin.jsonl");
+    let spec = load_setting("vae-mnist", seed).unwrap();
+    let optimizer = OptimizerKind::adam();
+    let mut rec = Recorder::new(Box::new(JsonlSink::create(&twin_trace).unwrap()));
+    spec.run_ft(
+        budget,
+        optimizer,
+        ScheduleSpec::Rex,
+        spec.default_lr(&optimizer),
+        seed,
+        rex::tensor::DType::F32,
+        FtConfig {
+            checkpoint_every: Some(every),
+            checkpoint_path: Some(dir.join("twin.state")),
+            ..FtConfig::default()
+        },
+        &mut rec,
+    )
+    .expect("in-process twin");
+    rec.flush();
+    drop(rec);
+    let twin = std::fs::read(&twin_trace).unwrap();
+    assert!(twin.windows(17).any(|w| w == b"\"ev\":\"checkpoint\""));
+    assert_eq!(
+        streamed, twin,
+        "served vae-mnist trace differs from the in-process twin"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}

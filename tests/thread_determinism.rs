@@ -15,8 +15,8 @@ use rex::schedules::ScheduleSpec;
 use rex::telemetry::{JsonlSink, Recorder};
 use rex::tensor::conv::{conv2d_backward, conv2d_forward, Window};
 use rex::tensor::{Prng, Tensor};
-use rex::train::tasks::{run_image_cell_traced, ImageModel};
-use rex::train::OptimizerKind;
+use rex::train::tasks::{run_image_cell, ImageModel};
+use rex::train::{OptimizerKind, TrainConfig};
 
 /// Pool sizes every case is checked at; 1 is the serial reference.
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 7];
@@ -190,16 +190,14 @@ fn traced_training_run_is_byte_identical_across_thread_counts() {
         let err = rex_pool::with_pool_size(threads, || {
             let sink = JsonlSink::create(&path).unwrap();
             let mut rec = Recorder::new(Box::new(sink));
-            let err = run_image_cell_traced(
+            let err = run_image_cell(
                 ImageModel::MicroResNet20,
                 &data,
-                1,
-                8,
-                OptimizerKind::sgdm(),
-                ScheduleSpec::Rex,
-                0.05,
-                23,
-                rex::tensor::DType::F32,
+                TrainConfig {
+                    batch_size: 8,
+                    lr: 0.05,
+                    ..TrainConfig::new(1, OptimizerKind::sgdm(), ScheduleSpec::Rex, 23)
+                },
                 &mut rec,
             )
             .unwrap();
@@ -242,16 +240,14 @@ fn profiled_run_computes_identical_bytes_at_any_thread_count() {
             }
             let sink = JsonlSink::create(&path).unwrap();
             let mut rec = Recorder::new(Box::new(sink));
-            let err = run_image_cell_traced(
+            let err = run_image_cell(
                 ImageModel::MicroResNet20,
                 &data,
-                1,
-                8,
-                OptimizerKind::sgdm(),
-                ScheduleSpec::Rex,
-                0.05,
-                29,
-                rex::tensor::DType::F32,
+                TrainConfig {
+                    batch_size: 8,
+                    lr: 0.05,
+                    ..TrainConfig::new(1, OptimizerKind::sgdm(), ScheduleSpec::Rex, 29)
+                },
                 &mut rec,
             )
             .unwrap();

@@ -19,7 +19,7 @@ use rex::train::tasks::{
     pretrain_transformer, run_detection_cell, run_glue_cell, run_image_cell, run_vae_cell,
     ImageModel,
 };
-use rex::train::{FtConfig, OptimizerKind};
+use rex::train::{FtConfig, OptimizerKind, TrainConfig};
 
 fn scalar<R>(f: impl FnOnce() -> R) -> R {
     backend::with_backend(BackendKind::Scalar, f)
@@ -67,12 +67,12 @@ fn classifier_cell_is_pinned() {
         run_image_cell(
             ImageModel::MicroResNet20,
             &data,
-            3,
-            16,
-            OptimizerKind::sgdm(),
-            ScheduleSpec::Rex,
-            0.05,
-            7,
+            TrainConfig {
+                batch_size: 16,
+                lr: 0.05,
+                ..TrainConfig::new(3, OptimizerKind::sgdm(), ScheduleSpec::Rex, 7)
+            },
+            &mut Recorder::disabled(),
         )
         .unwrap()
     });
@@ -117,12 +117,12 @@ fn vae_cell_is_pinned() {
         run_vae_cell(
             &train,
             &test,
-            2,
-            16,
-            OptimizerKind::adam(),
-            ScheduleSpec::DecayOnPlateau(1),
-            1e-3,
-            5,
+            TrainConfig {
+                batch_size: 16,
+                lr: 1e-3,
+                ..TrainConfig::new(2, OptimizerKind::adam(), ScheduleSpec::DecayOnPlateau(1), 5)
+            },
+            &mut Recorder::disabled(),
         )
         .unwrap()
     });
@@ -137,13 +137,13 @@ fn detection_cell_is_pinned() {
         run_detection_cell(
             &train,
             &test,
-            4,
             1,
-            6,
-            OptimizerKind::adam(),
-            ScheduleSpec::Cosine,
-            1e-2,
-            2,
+            TrainConfig {
+                batch_size: 6,
+                lr: 1e-2,
+                ..TrainConfig::new(4, OptimizerKind::adam(), ScheduleSpec::Cosine, 2)
+            },
+            &mut Recorder::disabled(),
         )
         .unwrap()
     });
@@ -155,8 +155,30 @@ fn pretraining_and_glue_cells_are_pinned() {
     let corpus = lm_corpus(32, 12, 32, 0);
     let tasks = glue_tasks(24, 12, 12, 32, 2);
     let (digest, acc) = scalar(|| {
-        let tf = pretrain_transformer(&corpus, tiny_transformer(), 2, 8, 1e-3, 1).unwrap();
-        let acc = run_glue_cell(&tf, &tasks[1], 2, 8, ScheduleSpec::Linear, 1e-3, 3).unwrap();
+        let tf = pretrain_transformer(
+            &corpus,
+            tiny_transformer(),
+            TrainConfig {
+                batch_size: 8,
+                lr: 1e-3,
+                grad_clip: Some(1.0),
+                ..TrainConfig::new(2, OptimizerKind::adamw(), ScheduleSpec::None, 1)
+            },
+            &mut Recorder::disabled(),
+        )
+        .unwrap();
+        let acc = run_glue_cell(
+            &tf,
+            &tasks[1],
+            TrainConfig {
+                batch_size: 8,
+                lr: 1e-3,
+                grad_clip: Some(1.0),
+                ..TrainConfig::new(2, OptimizerKind::adamw(), ScheduleSpec::Linear, 3)
+            },
+            &mut Recorder::disabled(),
+        )
+        .unwrap();
         (weight_digest(&tf), acc)
     });
     assert_eq!(
