@@ -442,31 +442,33 @@ impl Trainer {
                 if rex_faults::poison_loss(st.step) {
                     batch_loss = f64::NAN;
                 }
-                let bwd_span = span("backward");
-                g.backward(loss)?;
-                drop(bwd_span);
-                if let Some(seed_idx) = rex_faults::poison_grad(st.step) {
-                    let params = opt.params();
-                    if !params.is_empty() {
-                        params[seed_idx % params.len()].grad_mut().data_mut()[0] = f32::NAN;
+                // a non-finite loss trips the guard before backward; a
+                // non-finite gradient trips it before the update
+                let mut grad_norm = 0.0;
+                let mut opt_span = None;
+                let tripped = 'check: {
+                    if guard_on && !batch_loss.is_finite() {
+                        break 'check Some(("loss".to_owned(), batch_loss));
                     }
-                }
-                let opt_span = span("optimizer");
-                let grad_norm = if let Some(max_norm) = cfg.grad_clip {
-                    clip_grad_norm(opt.params(), max_norm)
-                } else if traced || guard_on {
-                    global_grad_norm(opt.params())
-                } else {
-                    0.0
-                };
-                let tripped = if !guard_on {
-                    None
-                } else if !batch_loss.is_finite() {
-                    Some(("loss".to_owned(), batch_loss))
-                } else if !grad_norm.is_finite() {
-                    Some((offending_grad(opt.params()), grad_norm as f64))
-                } else {
-                    None
+                    let bwd_span = span("backward");
+                    g.backward(loss)?;
+                    drop(bwd_span);
+                    if let Some(seed_idx) = rex_faults::poison_grad(st.step) {
+                        let params = opt.params();
+                        if !params.is_empty() {
+                            params[seed_idx % params.len()].grad_mut().data_mut()[0] = f32::NAN;
+                        }
+                    }
+                    opt_span = Some(span("optimizer"));
+                    grad_norm = if let Some(max_norm) = cfg.grad_clip {
+                        clip_grad_norm(opt.params(), max_norm)
+                    } else if traced || guard_on {
+                        global_grad_norm(opt.params())
+                    } else {
+                        0.0
+                    };
+                    (guard_on && !grad_norm.is_finite())
+                        .then(|| (offending_grad(opt.params()), grad_norm as f64))
                 };
                 if let Some((what, value)) = tripped {
                     rec.emit(Event::GuardTrip {
