@@ -319,7 +319,7 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Propagates [`TensorError`]s from the objective (as
+    /// Propagates [`TensorError`](rex_tensor::TensorError)s from the objective (as
     /// [`TrainError::Tensor`]), checkpoint/resume failures, guard aborts,
     /// and the deliberate [`TrainError::Halted`].
     pub fn train(
