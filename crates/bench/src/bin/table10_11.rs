@@ -37,7 +37,6 @@ fn main() {
         TrainConfig {
             batch_size: 16,
             lr: 1e-3,
-            grad_clip: Some(1.0),
             ..TrainConfig::new(
                 pretrain_epochs,
                 OptimizerKind::adamw(),
@@ -77,7 +76,6 @@ fn main() {
                     TrainConfig {
                         batch_size: 8,
                         lr,
-                        grad_clip: Some(1.0),
                         ..TrainConfig::new(
                             epochs,
                             OptimizerKind::adamw(),

@@ -1,6 +1,5 @@
 //! Mini-batch assembly and augmentation.
 
-use rex_telemetry::{Event, Recorder};
 use rex_tensor::{Prng, Tensor};
 
 /// One mini-batch of images and labels.
@@ -51,31 +50,6 @@ pub fn batches(
             labels: rows.iter().map(|&i| labels[i]).collect(),
         })
         .collect()
-}
-
-/// [`batches`] plus a telemetry [`Event::Epoch`] announcing the epoch's
-/// sample/batch counts and whether the order was shuffled.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`batches`].
-pub fn batches_traced(
-    images: &Tensor,
-    labels: &[usize],
-    batch_size: usize,
-    rng: Option<&mut Prng>,
-    rec: &mut Recorder,
-    epoch: u64,
-) -> Vec<Batch> {
-    let shuffled = rng.is_some();
-    let out = batches(images, labels, batch_size, rng);
-    rec.emit(Event::Epoch {
-        epoch,
-        samples: labels.len() as u64,
-        batches: out.len() as u64,
-        shuffled,
-    });
-    out
 }
 
 /// Random horizontal flip (probability ½ per sample) for `[B, C, H, W]`
@@ -192,35 +166,6 @@ mod tests {
     fn zero_batch_size_panics() {
         let (imgs, labels) = toy();
         let _ = batches(&imgs, &labels, 0, None);
-    }
-
-    #[test]
-    fn traced_batches_emit_epoch_event() {
-        use rex_telemetry::MemorySink;
-
-        let (imgs, labels) = toy();
-        let sink = MemorySink::unbounded();
-        let handle = sink.handle();
-        let mut rec = Recorder::new(Box::new(sink));
-        let mut rng = Prng::new(0);
-        let bs = batches_traced(&imgs, &labels, 4, Some(&mut rng), &mut rec, 3);
-        assert_eq!(bs.len(), 2);
-        assert_eq!(
-            handle.events(),
-            vec![Event::Epoch {
-                epoch: 3,
-                samples: 6,
-                batches: 2,
-                shuffled: true,
-            }]
-        );
-        // eval-mode loads report shuffled: false
-        let bs2 = batches_traced(&imgs, &labels, 6, None, &mut rec, 4);
-        assert_eq!(bs2[0].labels, labels);
-        match handle.events().last().unwrap() {
-            Event::Epoch { shuffled, .. } => assert!(!shuffled),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 }
 

@@ -17,7 +17,8 @@
 //!
 //! There is one training loop, [`Trainer::train`]. What it trains is an
 //! [`Objective`]: parameters, buffers, the training-set size, the loss of
-//! a mini-batch of training rows, a validation loss, and a final metric.
+//! a mini-batch of training rows, and, where it has them, a validation
+//! loss and a final metric.
 //! [`Classifier`] covers the image and digits settings; the VAE,
 //! detection, GLUE fine-tuning and masked-LM pretraining objectives live
 //! beside their cell runners in [`tasks`], one public entry point per

@@ -54,20 +54,24 @@ pub trait Objective {
     /// Propagates [`TensorError`]s from the model.
     fn loss(&self, g: &mut Graph, rows: &[usize], rng: &mut Prng) -> Result<NodeId, TensorError>;
 
-    /// The headline metric reported at the end of the run.
+    /// The headline metric reported at the end of the run. Default: none,
+    /// and the run reports its last epoch's mean training loss instead.
     ///
     /// # Errors
     ///
     /// Propagates [`TensorError`]s from the model.
-    fn metric(&self) -> Result<f64, TensorError>;
+    fn metric(&self) -> Result<Option<f64>, TensorError> {
+        Ok(None)
+    }
 
-    /// Validation loss fed to plateau schedules once per epoch. Default:
-    /// the metric, for objectives whose metric is itself a loss.
+    /// Validation loss fed to plateau schedules once per epoch; `None`
+    /// leaves them unfed. Default: the metric, for objectives whose metric
+    /// is itself a loss.
     ///
     /// # Errors
     ///
     /// Propagates [`TensorError`]s from the model.
-    fn validation_loss(&self) -> Result<f64, TensorError> {
+    fn validation_loss(&self) -> Result<Option<f64>, TensorError> {
         self.metric()
     }
 
@@ -145,22 +149,24 @@ impl Objective for Classifier<'_> {
         g.cross_entropy(logits, &labels)
     }
 
-    fn validation_loss(&self) -> Result<f64, TensorError> {
+    fn validation_loss(&self) -> Result<Option<f64>, TensorError> {
         classification_loss(
             self.model,
             self.test_images,
             self.test_labels,
             self.eval_batch,
         )
+        .map(Some)
     }
 
-    fn metric(&self) -> Result<f64, TensorError> {
+    fn metric(&self) -> Result<Option<f64>, TensorError> {
         evaluate_classifier(
             self.model,
             self.test_images,
             self.test_labels,
             self.eval_batch,
         )
+        .map(Some)
     }
 }
 

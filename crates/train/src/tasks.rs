@@ -23,7 +23,7 @@ use rex_tensor::{Prng, Tensor, TensorError};
 
 use crate::error::TrainError;
 use crate::objective::{Classifier, Objective};
-use crate::trainer::{TrainConfig, Trainer};
+use crate::trainer::{OptimizerKind, TrainConfig, Trainer};
 
 /// Which image-classification architecture a setting uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,8 +114,8 @@ impl Objective for VaeObjective<'_> {
         self.vae.elbo(g, &self.train.images.gather_rows(rows))
     }
 
-    fn metric(&self) -> Result<f64, TensorError> {
-        vae_loss(&self.vae, self.test)
+    fn metric(&self) -> Result<Option<f64>, TensorError> {
+        vae_loss(&self.vae, self.test).map(Some)
     }
 
     fn sampler(&self) -> Option<&RefCell<Prng>> {
@@ -201,12 +201,15 @@ impl Objective for DetectionObjective<'_> {
         self.det.loss(g, x, &targets)
     }
 
-    fn validation_loss(&self) -> Result<f64, TensorError> {
-        Ok(100.0 - detection_map(&self.det, self.test)?)
+    /// None: plateau schedules get no feedback here and hold their LR after
+    /// warmup, as detection always has. Feeding them `100 - mAP` would move
+    /// every detection trajectory under a plateau schedule.
+    fn validation_loss(&self) -> Result<Option<f64>, TensorError> {
+        Ok(None)
     }
 
-    fn metric(&self) -> Result<f64, TensorError> {
-        detection_map(&self.det, self.test)
+    fn metric(&self) -> Result<Option<f64>, TensorError> {
+        detection_map(&self.det, self.test).map(Some)
     }
 }
 
@@ -273,25 +276,11 @@ pub fn detection_map(det: &TinyDetector, test: &SceneDataset) -> Result<f64, Ten
     Ok(mean_average_precision(&preds, &gts, test.num_classes, 0.5))
 }
 
-/// Masked-token pretraining of a [`TinyTransformer`], scored by the
-/// eval-mode LM loss over the corpus.
+/// Masked-token pretraining of a [`TinyTransformer`]. It has no metric of
+/// its own: the run reports its last epoch's mean training loss.
 struct PretrainObjective<'a> {
     tf: TinyTransformer,
     corpus: &'a LmCorpus,
-}
-
-impl PretrainObjective<'_> {
-    /// Token inputs and targets of corpus rows `rows`, concatenated.
-    fn rows(&self, rows: impl Iterator<Item = usize>) -> (Vec<usize>, Vec<usize>) {
-        let t_len = self.corpus.seq_len;
-        let mut inputs = Vec::new();
-        let mut targets = Vec::new();
-        for i in rows {
-            inputs.extend_from_slice(&self.corpus.inputs[i * t_len..(i + 1) * t_len]);
-            targets.extend_from_slice(&self.corpus.targets[i * t_len..(i + 1) * t_len]);
-        }
-        (inputs, targets)
-    }
 }
 
 impl Objective for PretrainObjective<'_> {
@@ -312,31 +301,24 @@ impl Objective for PretrainObjective<'_> {
     }
 
     fn loss(&self, g: &mut Graph, rows: &[usize], _rng: &mut Prng) -> Result<NodeId, TensorError> {
-        let (inputs, targets) = self.rows(rows.iter().copied());
+        let t_len = self.corpus.seq_len;
+        let mut inputs = Vec::with_capacity(rows.len() * t_len);
+        let mut targets = Vec::with_capacity(rows.len() * t_len);
+        for &i in rows {
+            inputs.extend_from_slice(&self.corpus.inputs[i * t_len..(i + 1) * t_len]);
+            targets.extend_from_slice(&self.corpus.targets[i * t_len..(i + 1) * t_len]);
+        }
         let logits = self.tf.lm_logits(g, &inputs, rows.len())?;
         g.cross_entropy(logits, &targets)
-    }
-
-    fn metric(&self) -> Result<f64, TensorError> {
-        let n = self.corpus.n;
-        let mut total = 0.0f64;
-        for start in (0..n).step_by(32) {
-            let end = (start + 32).min(n);
-            let (inputs, targets) = self.rows(start..end);
-            let mut g = Graph::new(false);
-            let logits = self.tf.lm_logits(&mut g, &inputs, end - start)?;
-            let loss = g.cross_entropy(logits, &targets)?;
-            total += g.value(loss).item() as f64 * (end - start) as f64;
-        }
-        Ok(total / n.max(1) as f64)
     }
 }
 
 /// Pre-trains a [`TinyTransformer`] on a masked-token corpus — the shared
-/// "BERT checkpoint" that every GLUE cell fine-tunes from. The paper's
-/// recipe is AdamW at a constant LR (`ScheduleSpec::None`) with gradients
-/// clipped to norm 1.0; `cfg` states it. The model is seeded from
-/// `cfg.seed`, the loop's shuffling from `cfg.seed ^ 0x93A5`.
+/// "BERT checkpoint" that every GLUE cell fine-tunes from. The recipe is
+/// fixed: AdamW at a constant LR with gradients clipped to norm 1.0, so
+/// `cfg.optimizer`, `cfg.schedule` and `cfg.grad_clip` are overridden.
+/// The model is seeded from `cfg.seed`, the loop's shuffling from
+/// `cfg.seed ^ 0x93A5`.
 ///
 /// # Errors
 ///
@@ -351,7 +333,13 @@ pub fn pretrain_transformer(
         tf: TinyTransformer::new(model, cfg.seed),
         corpus,
     };
-    Trainer::new(cfg).train(&obj, rec)?;
+    Trainer::new(TrainConfig {
+        optimizer: OptimizerKind::adamw(),
+        schedule: ScheduleSpec::None,
+        grad_clip: Some(1.0),
+        ..cfg
+    })
+    .train(&obj, rec)?;
     Ok(obj.tf)
 }
 
@@ -396,20 +384,23 @@ impl Objective for GlueObjective<'_> {
         g.cross_entropy(logits, &labels)
     }
 
-    fn validation_loss(&self) -> Result<f64, TensorError> {
-        Ok(100.0 - glue_accuracy(&self.tf, &self.head, self.task)?)
+    fn validation_loss(&self) -> Result<Option<f64>, TensorError> {
+        Ok(Some(
+            100.0 - glue_accuracy(&self.tf, &self.head, self.task)?,
+        ))
     }
 
-    fn metric(&self) -> Result<f64, TensorError> {
-        glue_accuracy(&self.tf, &self.head, self.task)
+    fn metric(&self) -> Result<Option<f64>, TensorError> {
+        glue_accuracy(&self.tf, &self.head, self.task).map(Some)
     }
 }
 
 /// Fine-tunes a copy of `pretrained` on one GLUE task and returns the
-/// test accuracy (%). One cell of Tables 10–11, whose recipe is AdamW
-/// with gradients clipped to norm 1.0; `cfg` states it. The task head is
-/// initialised from `cfg.seed ^ 0x61E5`, and the loop's shuffling
-/// continues that same stream.
+/// test accuracy (%). One cell of Tables 10–11. The recipe is fixed:
+/// AdamW with gradients clipped to norm 1.0, so `cfg.optimizer` and
+/// `cfg.grad_clip` are overridden. The task head is initialised from
+/// `cfg.seed ^ 0x61E5`, and the loop's shuffling continues that same
+/// stream.
 ///
 /// # Errors
 ///
@@ -429,7 +420,12 @@ pub fn run_glue_cell(
         task,
         shuffle,
     };
-    Ok(Trainer::new(cfg).train(&obj, rec)?.final_metric)
+    let mut trainer = Trainer::new(TrainConfig {
+        optimizer: OptimizerKind::adamw(),
+        grad_clip: Some(1.0),
+        ..cfg
+    });
+    Ok(trainer.train(&obj, rec)?.final_metric)
 }
 
 /// Test accuracy (%) of a fine-tuned transformer + head on one task.
@@ -459,7 +455,6 @@ pub fn glue_accuracy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trainer::OptimizerKind;
     use rex_data::digits::synth_digits;
     use rex_data::images::synth_cifar10;
     use rex_data::scenes::synth_scenes;
@@ -540,7 +535,6 @@ mod tests {
             TrainConfig {
                 batch_size: 16,
                 lr: 1e-3,
-                grad_clip: Some(1.0),
                 ..TrainConfig::new(2, OptimizerKind::adamw(), ScheduleSpec::None, 3)
             },
             &mut Recorder::disabled(),
@@ -554,7 +548,6 @@ mod tests {
             TrainConfig {
                 batch_size: 8,
                 lr: 3e-3,
-                grad_clip: Some(1.0),
                 ..TrainConfig::new(3, OptimizerKind::adamw(), ScheduleSpec::Linear, 5)
             },
             &mut Recorder::disabled(),

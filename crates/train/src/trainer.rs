@@ -304,7 +304,8 @@ impl Trainer {
     /// ([`Objective::shuffle_rng`]) and trains on them in chunks of
     /// `batch_size`. The LR (and momentum) is sampled from the schedule
     /// before every step against the budgeted sample horizon; plateau
-    /// schedules get [`Objective::validation_loss`] after every epoch.
+    /// schedules get [`Objective::validation_loss`], when the objective
+    /// gives one, after every epoch.
     ///
     /// Telemetry goes to `rec`: run/epoch boundaries, one [`StepRecord`]
     /// per optimizer step (applied LR, batch loss, pre-clip gradient
@@ -580,7 +581,11 @@ impl Trainer {
             }
             let val_loss = if needs_val {
                 let _val_span = span("validation");
-                let vl = obj.validation_loss()?;
+                obj.validation_loss()?
+            } else {
+                None
+            };
+            if let Some(vl) = val_loss {
                 self.schedule.on_validation(vl);
                 if traced {
                     rec.emit(Event::Validation {
@@ -588,10 +593,7 @@ impl Trainer {
                         loss: vl,
                     });
                 }
-                Some(vl)
-            } else {
-                None
-            };
+            }
             let mean_loss = st.epoch_loss / st.epoch_batches.max(1) as f64;
             if traced {
                 rec.emit(Event::EpochEnd {
@@ -608,7 +610,9 @@ impl Trainer {
             st.epoch += 1;
         }
 
-        let final_metric = obj.metric()?;
+        let final_metric = obj
+            .metric()?
+            .unwrap_or_else(|| st.history.last().map_or(f64::NAN, |epoch| epoch.train_loss));
         rec.emit(Event::RunEnd {
             metric: final_metric,
         });

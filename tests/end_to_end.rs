@@ -107,7 +107,6 @@ fn glue_setting_end_to_end() {
         TrainConfig {
             batch_size: 8,
             lr: 1e-3,
-            grad_clip: Some(1.0),
             ..TrainConfig::new(1, OptimizerKind::adamw(), ScheduleSpec::None, 1)
         },
         &mut Recorder::disabled(),
@@ -121,7 +120,6 @@ fn glue_setting_end_to_end() {
             TrainConfig {
                 batch_size: 8,
                 lr: 1e-3,
-                grad_clip: Some(1.0),
                 ..TrainConfig::new(1, OptimizerKind::adamw(), sched, 3)
             },
             &mut Recorder::disabled(),

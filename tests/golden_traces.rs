@@ -381,7 +381,6 @@ fn golden_trace_glue_plateau() {
             TrainConfig {
                 batch_size: 8,
                 lr: 1e-3,
-                grad_clip: Some(1.0),
                 ..TrainConfig::new(1, OptimizerKind::adamw(), ScheduleSpec::None, 1)
             },
             &mut Recorder::disabled(),
@@ -393,7 +392,6 @@ fn golden_trace_glue_plateau() {
             TrainConfig {
                 batch_size: 8,
                 lr: 1e-3,
-                grad_clip: Some(1.0),
                 ..TrainConfig::new(
                     2,
                     OptimizerKind::adamw(),

@@ -150,6 +150,29 @@ fn detection_cell_is_pinned() {
     assert_bits("detection cell", map, PIN_DETECTION);
 }
 
+/// Detection gives plateau schedules no validation feedback, so under
+/// `DecayOnPlateau` the LR holds after warmup, as it always has.
+#[test]
+fn detection_plateau_cell_is_pinned() {
+    let train = synth_scenes(24, 24, 0);
+    let test = synth_scenes(12, 24, 1);
+    let map = scalar(|| {
+        run_detection_cell(
+            &train,
+            &test,
+            1,
+            TrainConfig {
+                batch_size: 6,
+                lr: 1e-2,
+                ..TrainConfig::new(4, OptimizerKind::adam(), ScheduleSpec::DecayOnPlateau(1), 2)
+            },
+            &mut Recorder::disabled(),
+        )
+        .unwrap()
+    });
+    assert_bits("detection plateau cell", map, PIN_DETECTION_PLATEAU);
+}
+
 #[test]
 fn pretraining_and_glue_cells_are_pinned() {
     let corpus = lm_corpus(32, 12, 32, 0);
@@ -161,7 +184,6 @@ fn pretraining_and_glue_cells_are_pinned() {
             TrainConfig {
                 batch_size: 8,
                 lr: 1e-3,
-                grad_clip: Some(1.0),
                 ..TrainConfig::new(2, OptimizerKind::adamw(), ScheduleSpec::None, 1)
             },
             &mut Recorder::disabled(),
@@ -173,7 +195,6 @@ fn pretraining_and_glue_cells_are_pinned() {
             TrainConfig {
                 batch_size: 8,
                 lr: 1e-3,
-                grad_clip: Some(1.0),
                 ..TrainConfig::new(2, OptimizerKind::adamw(), ScheduleSpec::Linear, 3)
             },
             &mut Recorder::disabled(),
@@ -193,5 +214,6 @@ const PIN_DIGITS: u64 = 0x4053_6000_0000_0000;
 const PIN_VAE_MNIST: u64 = 0x4048_32d6_0000_0000;
 const PIN_VAE: u64 = 0x4059_bd6b_c000_0000;
 const PIN_DETECTION: u64 = 0x4002_35ba_7819_48b1;
+const PIN_DETECTION_PLATEAU: u64 = 0x3fd5_8c7f_91ab_8753;
 const PIN_PRETRAINED: u64 = 0xb52d_98db_e0f5_4f5d;
 const PIN_GLUE: u64 = 0x4030_aaaa_aaaa_aaac;
