@@ -1,6 +1,6 @@
 use rex_tensor::conv::{
-    conv2d_backward, conv2d_backward_no_bias, conv2d_forward, global_avgpool_backward,
-    global_avgpool_forward, maxpool2d_backward, maxpool2d_forward, Conv2dSaved, Window,
+    conv2d_backward, conv2d_forward, global_avgpool_backward, global_avgpool_forward,
+    maxpool2d_backward, maxpool2d_forward, Conv2dSaved, Window,
 };
 use rex_tensor::ops;
 use rex_tensor::ops::{matmul3, matmul3_nt, matmul3_tn, permute_0213, transpose_last2};
@@ -1099,22 +1099,21 @@ impl Graph {
                 bias,
                 saved,
             } => {
-                let wants_bias = bias.map(|b| self.rg(b)).unwrap_or(false);
-                let (d_in, d_w, d_b) = if wants_bias {
-                    conv2d_backward(g, self.value(*weight), saved)?
-                } else {
-                    conv2d_backward_no_bias(g, self.value(*weight), saved)?
-                };
-                if self.rg(*input) {
+                let conv = conv2d_backward(
+                    g,
+                    self.value(*weight),
+                    saved,
+                    self.rg(*input),
+                    bias.is_some_and(|b| self.rg(b)),
+                )?;
+                if let Some(d_in) = conv.x_grad {
                     Self::accum(grads, *input, d_in);
                 }
                 if self.rg(*weight) {
-                    Self::accum(grads, *weight, d_w);
+                    Self::accum(grads, *weight, conv.weights_grad);
                 }
-                if let Some(b) = bias {
-                    if self.rg(*b) {
-                        Self::accum(grads, *b, d_b);
-                    }
+                if let (Some(b), Some(d_b)) = (bias, conv.bias_grad) {
+                    Self::accum(grads, *b, d_b);
                 }
             }
             Op::MaxPool2d {

@@ -358,7 +358,8 @@ fn bench_conv_backward(cfg: &Config) -> Case {
     };
     let (out, saved) = conv2d_forward(&input, &weight, None, win).unwrap();
     let d_out = rng.normal_tensor(out.shape(), 0.0, 1.0);
-    let (di, dw, _) = conv2d_backward(&d_out, &weight, &saved).unwrap();
+    let grads = conv2d_backward(&d_out, &weight, &saved, true, true).unwrap();
+    let (di, dw) = (grads.x_grad.unwrap(), grads.weights_grad);
     let (rdi, rdw, _) = reference::conv2d_direct_backward(&d_out, &input, &weight, win).unwrap();
     Case {
         name: "conv2d_bwd_32x3x32x32_k3",
@@ -366,7 +367,9 @@ fn bench_conv_backward(cfg: &Config) -> Case {
         baseline_ms: time_median(cfg, || {
             reference::conv2d_direct_backward(&d_out, &input, &weight, win).unwrap()
         }),
-        optimized_ms: time_median(cfg, || conv2d_backward(&d_out, &weight, &saved).unwrap()),
+        optimized_ms: time_median(cfg, || {
+            conv2d_backward(&d_out, &weight, &saved, true, true).unwrap()
+        }),
         max_abs_diff: max_abs_diff(di.data(), rdi.data()).max(max_abs_diff(dw.data(), rdw.data())),
     }
 }
@@ -652,7 +655,7 @@ impl SweepFixture {
             conv2d_forward(&self.input, &self.weight, Some(&self.bias), self.win).unwrap()
         });
         let bwd = time_stats(cfg, || {
-            conv2d_backward(&self.d_out, &self.weight, &self.saved).unwrap()
+            conv2d_backward(&self.d_out, &self.weight, &self.saved, true, true).unwrap()
         });
         vec![
             ("matmul_256x256x256", mm.0, mm.1),
@@ -704,7 +707,7 @@ impl SweepFixture {
                 "conv2d_bwd_32x3x32x32_k3",
                 time_pair(
                     cfg,
-                    || conv2d_backward(&self.d_out, &self.weight, &self.saved).unwrap(),
+                    || conv2d_backward(&self.d_out, &self.weight, &self.saved, true, true).unwrap(),
                     || {
                         reference::conv2d_direct_backward(
                             &self.d_out,

@@ -1,10 +1,12 @@
 //! The compute-backend abstraction: every numeric kernel in the crate is
 //! reachable through the [`ComputeBackend`] trait, with two implementations
-//! behind one dispatch point.
+//! behind one dispatch point. (The conv patch transforms in
+//! [`crate::im2col`] are the exception: data movement plus compensated
+//! adds in a fixed per-element order, one definition for both backends.)
 //!
-//! * [`ScalarBackend`] — the historical paths in [`crate::kernels`],
-//!   [`crate::im2col`], and the serial folds in `Tensor`: plain Rust loops
-//!   whose float order is the crate's long-standing numerical contract.
+//! * [`ScalarBackend`] — the historical paths in [`crate::kernels`] and
+//!   the serial folds in `Tensor`: plain Rust loops whose float order is
+//!   the crate's long-standing numerical contract.
 //! * [`SimdBackend`] — runtime-dispatched vectorized microkernels from
 //!   [`crate::simd`]: `std::arch` AVX2/FMA where the host supports it, an
 //!   SSE2 micro-tile otherwise on x86-64, and portable 8-wide chunked loops
@@ -39,8 +41,7 @@
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
-use crate::conv::Window;
-use crate::{im2col, kernels, simd};
+use crate::{kernels, simd};
 
 /// Identifies a compute backend (the value of `REX_BACKEND` / `--backend`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,7 +95,7 @@ pub enum Layout {
 /// The tensor crate's compute interface: serial kernels over slices.
 ///
 /// Threading is *not* part of the trait — drivers in [`crate::kernels`],
-/// [`crate::im2col`], and `Tensor` own the chunk grids (which are part of
+/// [`crate::conv`], and `Tensor` own the chunk grids (which are part of
 /// the determinism contract) and call these methods from chunk bodies.
 /// Every method must be deterministic: for fixed inputs the output is a
 /// pure function of the arguments, with a fixed float-operation order.
@@ -203,37 +204,6 @@ pub trait ComputeBackend: Sync {
     fn log_softmax_row(&self, row: &[f32], out: &mut [f32]);
     /// `(mean, biased variance)` of one row (the layer-norm statistics).
     fn mean_var_row(&self, row: &[f32]) -> (f32, f32);
-
-    // -- Conv lowering ---------------------------------------------------
-
-    /// Unrolls one `[H, W]` input plane into its `[K·K, OH·OW]` block of
-    /// the im2col patch matrix (`cols` pre-zeroed by the caller).
-    #[allow(clippy::too_many_arguments)]
-    fn im2col_channel(
-        &self,
-        plane: &[f32],
-        h: usize,
-        w: usize,
-        win: Window,
-        oh: usize,
-        ow: usize,
-        cols: &mut [f32],
-    );
-
-    /// Adjoint of [`ComputeBackend::im2col_channel`]: scatter-adds one
-    /// channel's `[K·K, OH·OW]` gradient block onto its `[H, W]` plane with
-    /// compensated (Kahan) accumulation.
-    #[allow(clippy::too_many_arguments)]
-    fn col2im_channel(
-        &self,
-        cols: &[f32],
-        h: usize,
-        w: usize,
-        win: Window,
-        oh: usize,
-        ow: usize,
-        plane: &mut [f32],
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -427,32 +397,6 @@ impl ComputeBackend for ScalarBackend {
         let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d;
         (mean, var)
     }
-
-    fn im2col_channel(
-        &self,
-        plane: &[f32],
-        h: usize,
-        w: usize,
-        win: Window,
-        oh: usize,
-        ow: usize,
-        cols: &mut [f32],
-    ) {
-        im2col::im2col_channel_scalar(plane, h, w, win, oh, ow, cols);
-    }
-
-    fn col2im_channel(
-        &self,
-        cols: &[f32],
-        h: usize,
-        w: usize,
-        win: Window,
-        oh: usize,
-        ow: usize,
-        plane: &mut [f32],
-    ) {
-        im2col::col2im_channel_compensated(cols, h, w, win, oh, ow, plane);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -588,32 +532,6 @@ impl ComputeBackend for SimdBackend {
 
     fn mean_var_row(&self, row: &[f32]) -> (f32, f32) {
         simd::mean_var_row(row)
-    }
-
-    fn im2col_channel(
-        &self,
-        plane: &[f32],
-        h: usize,
-        w: usize,
-        win: Window,
-        oh: usize,
-        ow: usize,
-        cols: &mut [f32],
-    ) {
-        simd::im2col_channel(plane, h, w, win, oh, ow, cols);
-    }
-
-    fn col2im_channel(
-        &self,
-        cols: &[f32],
-        h: usize,
-        w: usize,
-        win: Window,
-        oh: usize,
-        ow: usize,
-        plane: &mut [f32],
-    ) {
-        simd::col2im_channel(cols, h, w, win, oh, ow, plane);
     }
 }
 

@@ -1,19 +1,27 @@
 //! 2-D convolution and pooling kernels (im2col + blocked GEMM).
 //!
 //! The convolution is lowered onto the register-tiled GEMM in
-//! [`crate::kernels`] via the patch-matrix transform in [`crate::im2col`]:
-//! the forward pass is one `[O, C·K·K] × [C·K·K, OH·OW]` product per
-//! sample, and the backward pass is a pair of fused-transpose products
-//! plus a `col2im` scatter. All workspaces (the patch matrix, the
-//! per-sample gradient columns) are drawn from the [`crate::scratch`]
-//! pool, so steady-state training allocates nothing per step.
+//! [`crate::kernels`] via the patch-matrix transform in [`crate::im2col`],
+//! over fixed groups of `g` samples: each group's patches unroll side by
+//! side into one `[C·K·K, g·OH·OW]` block, so the forward pass is one
+//! `[O, C·K·K] × [C·K·K, g·OH·OW]` product per group, and the backward
+//! pass is one `dW` product (its depth the group's `g·OH·OW` output
+//! positions) into a per-group partial plus one `Wᵀ · dOut` product and a
+//! `col2im` scatter. Groups run as pool tasks; the `dW`/`dB` partials are
+//! folded in group order with Kahan compensation. `g` depends only on the
+//! backend and the batch size: 1 on the scalar backend, whose float order
+//! is thus the per-sample lowering's, and up to 8 on the SIMD backend. All
+//! workspaces (the patch matrix, the gradient columns) are drawn from the
+//! [`crate::scratch`] pool, so steady-state training allocates nothing
+//! per step.
 //!
 //! Forward functions return whatever intermediate state the corresponding
 //! backward function needs (im2col buffers, argmax indices), so the autograd
 //! layer can stash it in the tape without recomputation. Dropping the
 //! saved state recycles its buffers back into the pool.
 
-use crate::im2col::{col2im_sample, im2col_sample, take_cols};
+use crate::backend::{BackendKind, ComputeBackend, Layout};
+use crate::im2col::{col2im_sample, im2col_sample, kahan_add, take_cols, PatchGeom};
 use crate::kernels;
 use crate::scratch::PooledBuf;
 use crate::{Tensor, TensorError};
@@ -71,13 +79,61 @@ impl Window {
 /// the thread-local scratch pool for the next step.
 #[derive(Debug, Clone)]
 pub struct Conv2dSaved {
-    /// im2col buffer, `[N, C*K*K, OH*OW]` flattened (pooled).
+    /// Patch matrix, one `[C·K·K, g·OH·OW]` block per sample group
+    /// (see `group_size`), concatenated in group order (pooled).
     cols: PooledBuf,
-    /// Input shape `[N, C, H, W]`.
-    in_shape: [usize; 4],
-    /// Output spatial dims `(OH, OW)`.
-    out_hw: (usize, usize),
-    win: Window,
+    /// Batch size.
+    n: usize,
+    geom: PatchGeom,
+}
+
+/// Gradients of a 2-D convolution, from [`conv2d_backward`].
+#[derive(Debug, Clone)]
+pub struct Conv2dBackward {
+    /// Input gradient `[N, C, H, W]`, when it was asked for.
+    pub x_grad: Option<Tensor>,
+    /// Weight gradient `[O, C, K, K]`.
+    pub weights_grad: Tensor,
+    /// Bias gradient `[O]`, when it was asked for.
+    pub bias_grad: Option<Tensor>,
+}
+
+/// Samples per lowering group: the scalar backend lowers one sample at a
+/// time (its long-standing float order), the SIMD backend up to 8 side by
+/// side so each GEMM is wide enough to fill the vector tiles, while a
+/// batch still splits into at least 4 groups for the pool. Depends only
+/// on the backend and the batch size, never on the thread count.
+fn group_size(be: &dyn ComputeBackend, n: usize) -> usize {
+    match be.kind() {
+        BackendKind::Scalar => 1,
+        BackendKind::Simd => (n / 4).clamp(1, 8),
+    }
+}
+
+/// Runs `body(group_index, task)` for every group: as pool tasks when a
+/// layer of `flops` multiply–adds is worth sharding, inline otherwise.
+/// Each group's float work is fixed by the group grid, so both ways give
+/// identical bits.
+fn for_each_group<T: Send>(tasks: &mut [T], flops: usize, body: impl Fn(usize, &mut T) + Sync) {
+    if tasks.len() > 1 && flops >= kernels::PAR_FLOPS && kernels::num_threads() > 1 {
+        rex_pool::parallel_for_slices(tasks, 1, |gi, _, task| body(gi, &mut task[0]));
+    } else {
+        for (gi, task) in tasks.iter_mut().enumerate() {
+            body(gi, task);
+        }
+    }
+}
+
+/// Copies a `[a, b, len]` block layout into `[b, a, len]` order: a
+/// group's `[O, g·OH·OW]` product into per-sample `[O, OH·OW]` outputs,
+/// and back.
+fn regroup(src: &[f32], dst: &mut [f32], a: usize, b: usize, len: usize) {
+    for i in 0..a {
+        for j in 0..b {
+            dst[(j * a + i) * len..(j * a + i + 1) * len]
+                .copy_from_slice(&src[(i * b + j) * len..(i * b + j + 1) * len]);
+        }
+    }
 }
 
 /// 2-D convolution forward pass.
@@ -110,11 +166,14 @@ pub fn conv2d_forward(
             ),
         });
     }
-    let oh = win.out_size(h)?;
-    let ow = win.out_size(w)?;
-    let ckk = c * win.kernel * win.kernel;
-    let ohw = oh * ow;
-
+    let geom = PatchGeom {
+        c,
+        h,
+        w,
+        win,
+        oh: win.out_size(h)?,
+        ow: win.out_size(w)?,
+    };
     if let Some(b) = bias {
         if b.shape() != [o] {
             return Err(TensorError::InvalidGeometry {
@@ -122,81 +181,64 @@ pub fn conv2d_forward(
             });
         }
     }
+    let (ckk, ohw, chw) = (geom.ckk(), geom.ohw(), geom.chw());
+    let be = crate::backend::active();
+    let g = group_size(be, n);
 
-    // Samples are independent, so both phases shard the batch axis onto
-    // the thread pool (one sample per chunk — the grid depends only on n,
-    // and each sample's float work is untouched, so results are bitwise
-    // identical to the serial loop at any thread count).
-    let par = n >= 2 && n * o * ckk * ohw >= kernels::PAR_FLOPS && kernels::num_threads() > 1;
-
+    // Per group: one im2col into its [CKK, gs·OHW] block, one
+    // [O, CKK] × [CKK, gs·OHW] GEMM, then the product regrouped into the
+    // group's [gs, O, OHW] slice of the output plus the bias.
     let mut cols = take_cols(n * ckk * ohw);
-    let im2col_into = |s: usize, cols_s: &mut [f32]| {
-        im2col_sample(
-            &input.data()[s * c * h * w..(s + 1) * c * h * w],
-            c,
-            h,
-            w,
-            win,
-            oh,
-            ow,
-            cols_s,
-        );
-    };
-    if par {
-        rex_pool::parallel_for_slices(&mut cols, ckk * ohw, |s, _, cols_s| im2col_into(s, cols_s));
-    } else {
-        for (s, cols_s) in cols.chunks_mut(ckk * ohw).enumerate() {
-            im2col_into(s, cols_s);
-        }
-    }
-
-    // weight viewed as [O, CKK] (already contiguous); per-sample
-    // out = weight × cols -> [O, OHW], sharded over the samples
     let mut out = vec![0.0f32; n * o * ohw];
-    let wmat = weight.data();
-    let compute_out = |s: usize, out_s: &mut [f32]| {
-        kernels::gemm(
+    let mut tasks: Vec<_> = cols
+        .chunks_mut(g * ckk * ohw)
+        .zip(out.chunks_mut(g * o * ohw))
+        .collect();
+    for_each_group(&mut tasks, n * o * ckk * ohw, |gi, (cols_g, out_g)| {
+        let gs = g.min(n - gi * g);
+        let x = &input.data()[gi * g * chw..];
+        for s in 0..gs {
+            im2col_sample(&geom, &x[s * chw..], &mut cols_g[s * ohw..], gs * ohw);
+        }
+        let mut prod = PooledBuf::zeroed(o * gs * ohw);
+        kernels::gemm_driver(
+            be,
+            Layout::Nn,
             o,
             ckk,
-            ohw,
-            wmat,
-            &cols[s * ckk * ohw..(s + 1) * ckk * ohw],
-            out_s,
+            gs * ohw,
+            weight.data(),
+            cols_g,
+            &mut prod,
         );
+        regroup(&prod, out_g, o, gs, ohw);
         if let Some(b) = bias {
-            for oc in 0..o {
-                let bv = b.data()[oc];
-                for v in &mut out_s[oc * ohw..(oc + 1) * ohw] {
+            for (row, &bv) in out_g.chunks_mut(ohw).zip(b.data().iter().cycle()) {
+                for v in row {
                     *v += bv;
                 }
             }
         }
-    };
-    if par {
-        rex_pool::parallel_for_slices(&mut out, o * ohw, |s, _, out_s| compute_out(s, out_s));
-    } else {
-        for (s, out_s) in out.chunks_mut(o * ohw).enumerate() {
-            compute_out(s, out_s);
-        }
-    }
+    });
 
-    let output = Tensor::from_vec(out, &[n, o, oh, ow])?;
-    Ok((
-        output,
-        Conv2dSaved {
-            cols,
-            in_shape: [n, c, h, w],
-            out_hw: (oh, ow),
-            win,
-        },
-    ))
+    let output = Tensor::from_vec(out, &[n, o, geom.oh, geom.ow])?;
+    Ok((output, Conv2dSaved { cols, n, geom }))
 }
 
-/// Gradients of a 2-D convolution.
+/// Gradients of a 2-D convolution. The weight gradient is always
+/// computed; the input gradient only when `x_grad` is set (a network's
+/// first layer has no use for it) and the bias gradient (the sum of
+/// `d_out` over batch and space) only when `bias_grad` is.
 ///
-/// Returns `(d_input, d_weight, d_bias)`; `d_bias` is always produced (sum
-/// of `d_out` over batch and space) and is simply ignored by bias-free
-/// layers.
+/// Each sample group of the forward pass runs as one task: its `d_out`
+/// rows regrouped to `[O, g·OH·OW]`, one `dW = dOut · colsᵀ` GEMM (and
+/// the `dB` row sums) into the group's own partial, and one
+/// `dCols = Wᵀ · dOut` GEMM scattered back by col2im. The partials are
+/// then folded in group order with Kahan compensation: the batch-axis
+/// sum is the longest accumulation chain in the conv backward, and
+/// compensating it is what holds `d_weight` (vs the f64 oracle) under the
+/// pinned 1e-4 bound. The group grid depends only on the backend and the
+/// batch size, so the result is bitwise identical at any thread count.
 ///
 /// # Errors
 ///
@@ -206,12 +248,84 @@ pub fn conv2d_backward(
     d_out: &Tensor,
     weight: &Tensor,
     saved: &Conv2dSaved,
-) -> Result<(Tensor, Tensor, Tensor), TensorError> {
-    conv2d_backward_impl(d_out, weight, saved, true)
+    x_grad: bool,
+    bias_grad: bool,
+) -> Result<Conv2dBackward, TensorError> {
+    let _sp = rex_telemetry::span::kernel_span("conv2d_bwd");
+    let (n, geom) = (saved.n, saved.geom);
+    let (ckk, ohw, chw) = (geom.ckk(), geom.ohw(), geom.chw());
+    let [o, _, _, _] = dims4(weight, "conv2d weight [O,C,K,K]")?;
+    if d_out.shape() != [n, o, geom.oh, geom.ow] || weight.len() != o * ckk {
+        return Err(TensorError::RankMismatch {
+            expected: "d_out [N,O,OH,OW] and weight [O,C,K,K] matching forward",
+            got: d_out.shape().to_vec(),
+        });
+    }
+    let be = crate::backend::active();
+    let g = group_size(be, n);
+
+    // one partial per group: dW [O, CKK] then, when wanted, dB [O]
+    let part_len = o * ckk + if bias_grad { o } else { 0 };
+    let mut parts = PooledBuf::zeroed(n.div_ceil(g) * part_len);
+    let mut d_input = x_grad.then(|| Tensor::zeros(&[n, geom.c, geom.h, geom.w]));
+    let mut dx_chunks = d_input.as_mut().map(|t| t.data_mut().chunks_mut(g * chw));
+    let mut tasks: Vec<_> = parts
+        .chunks_mut(part_len)
+        .map(|part| (part, dx_chunks.as_mut().and_then(Iterator::next)))
+        .collect();
+    for_each_group(&mut tasks, n * o * ckk * ohw, |gi, (part, dx_g)| {
+        let s0 = gi * g;
+        let gs = g.min(n - s0);
+        let cols_g = &saved.cols[s0 * ckk * ohw..(s0 + gs) * ckk * ohw];
+        let mut dmat = PooledBuf::uninit(o * gs * ohw);
+        regroup(
+            &d_out.data()[s0 * o * ohw..(s0 + gs) * o * ohw],
+            &mut dmat,
+            gs,
+            o,
+            ohw,
+        );
+        let (dw, db) = part.split_at_mut(o * ckk);
+        kernels::gemm_driver(be, Layout::Nt, o, gs * ohw, ckk, &dmat, cols_g, dw);
+        for (v, row) in db.iter_mut().zip(dmat.chunks(gs * ohw)) {
+            *v = be.sum(row);
+        }
+        if let Some(dx_g) = dx_g {
+            let mut dcols = take_cols(ckk * gs * ohw);
+            kernels::gemm_driver(
+                be,
+                Layout::Tn,
+                ckk,
+                o,
+                gs * ohw,
+                weight.data(),
+                &dmat,
+                &mut dcols,
+            );
+            let mut comp = PooledBuf::uninit(geom.h * geom.w);
+            for (s, dx_s) in dx_g.chunks_mut(chw).enumerate() {
+                col2im_sample(&geom, &dcols[s * ohw..], gs * ohw, dx_s, &mut comp);
+            }
+        }
+    });
+
+    let mut grads = vec![0.0f32; part_len];
+    let mut comp = PooledBuf::zeroed(part_len);
+    for part in parts.chunks(part_len) {
+        kahan_add(&mut grads, &mut comp, part);
+    }
+    let bias = grads.split_off(o * ckk);
+    Ok(Conv2dBackward {
+        x_grad: d_input,
+        weights_grad: Tensor::from_vec(grads, &[o, geom.c, geom.win.kernel, geom.win.kernel])?,
+        bias_grad: bias_grad
+            .then(|| Tensor::from_vec(bias, &[o]))
+            .transpose()?,
+    })
 }
 
-/// As [`conv2d_backward`] but skips the bias gradient (returned as an
-/// empty `[O]` zero tensor) — the fast path for bias-free layers.
+/// [`conv2d_backward`] for bias-free layers: the input and weight
+/// gradients (`bias_grad` is `None`).
 ///
 /// # Errors
 ///
@@ -220,100 +334,8 @@ pub fn conv2d_backward_no_bias(
     d_out: &Tensor,
     weight: &Tensor,
     saved: &Conv2dSaved,
-) -> Result<(Tensor, Tensor, Tensor), TensorError> {
-    conv2d_backward_impl(d_out, weight, saved, false)
-}
-
-fn conv2d_backward_impl(
-    d_out: &Tensor,
-    weight: &Tensor,
-    saved: &Conv2dSaved,
-    want_bias: bool,
-) -> Result<(Tensor, Tensor, Tensor), TensorError> {
-    let _sp = rex_telemetry::span::kernel_span("conv2d_bwd");
-    let [n, c, h, w] = saved.in_shape;
-    let (oh, ow) = saved.out_hw;
-    let ohw = oh * ow;
-    let [o, _, _, _] = dims4(weight, "conv2d weight [O,C,K,K]")?;
-    let ckk = c * saved.win.kernel * saved.win.kernel;
-    if d_out.shape() != [n, o, oh, ow] {
-        return Err(TensorError::RankMismatch {
-            expected: "d_out [N,O,OH,OW] matching forward",
-            got: d_out.shape().to_vec(),
-        });
-    }
-
-    let wmat = weight.data();
-    let mut d_weight = Tensor::zeros(&[o, ckk]);
-    let mut d_input = Tensor::zeros(&[n, c, h, w]);
-    let mut d_bias = Tensor::zeros(&[o]);
-
-    // Phase 1 — d_input: each sample's dCols = Wᵀ × dOut and col2im
-    // scatter touch only that sample's slice, so the batch axis shards
-    // onto the pool (one sample per chunk, bitwise identical to serial;
-    // each task draws its own gradient-columns workspace from the
-    // thread-local scratch pool).
-    let par = n >= 2 && n * o * ckk * ohw >= kernels::PAR_FLOPS && kernels::num_threads() > 1;
-    let dinput_sample = |s: usize, d_in_s: &mut [f32]| {
-        let dmat = &d_out.data()[s * o * ohw..(s + 1) * o * ohw];
-        let mut dcols = take_cols(ckk * ohw);
-        kernels::gemm_tn(ckk, o, ohw, wmat, dmat, &mut dcols);
-        col2im_sample(&dcols, c, h, w, saved.win, oh, ow, d_in_s);
-    };
-    if par {
-        rex_pool::parallel_for_slices(d_input.data_mut(), c * h * w, |s, _, d_in_s| {
-            dinput_sample(s, d_in_s)
-        });
-    } else {
-        for (s, d_in_s) in d_input.data_mut().chunks_mut(c * h * w).enumerate() {
-            dinput_sample(s, d_in_s);
-        }
-    }
-
-    // Phase 2 — d_weight / d_bias accumulate across samples into shared
-    // buffers. Each sample's dW term is computed into a scratch buffer and
-    // folded in with Kahan compensation: the batch-axis sum is the longest
-    // accumulation chain in the conv backward, and compensating it is what
-    // holds the conv2d_bwd parity error (vs the f64 oracle) under the
-    // pinned 1e-4 bound. The sample loop stays serial — a fixed fold order
-    // plus per-sample GEMMs that are partition-invariant keeps the result
-    // bitwise identical at any thread count (within a backend).
-    let be = crate::backend::active();
-    let mut dw_term = PooledBuf::zeroed(o * ckk);
-    let mut dw_comp = PooledBuf::zeroed(o * ckk);
-    let mut db_comp = PooledBuf::zeroed(if want_bias { o } else { 0 });
-    for s in 0..n {
-        let dmat = &d_out.data()[s * o * ohw..(s + 1) * o * ohw];
-        let colmat = &saved.cols[s * ckk * ohw..(s + 1) * ckk * ohw];
-        // dW_s = dOut_s × cols_sᵀ, then d_weight += dW_s (compensated)
-        dw_term.fill(0.0);
-        kernels::gemm_nt(o, ohw, ckk, dmat, colmat, &mut dw_term);
-        let dw = d_weight.data_mut();
-        for (i, &term) in dw_term.iter().enumerate() {
-            let y = term - dw_comp[i];
-            let t = dw[i] + y;
-            dw_comp[i] = (t - dw[i]) - y;
-            dw[i] = t;
-        }
-        // dB += sum over space (skipped for bias-free layers), same
-        // compensated fold across the batch axis
-        if want_bias {
-            let db = d_bias.data_mut();
-            for oc in 0..o {
-                let sum = be.sum(&dmat[oc * ohw..(oc + 1) * ohw]);
-                let y = sum - db_comp[oc];
-                let t = db[oc] + y;
-                db_comp[oc] = (t - db[oc]) - y;
-                db[oc] = t;
-            }
-        }
-    }
-
-    Ok((
-        d_input,
-        d_weight.reshape(&[o, c, saved.win.kernel, saved.win.kernel])?,
-        d_bias,
-    ))
+) -> Result<Conv2dBackward, TensorError> {
+    conv2d_backward(d_out, weight, saved, true, false)
 }
 
 /// Max-pooling forward. Returns the pooled output `[N, C, OH, OW]` and the
@@ -548,7 +570,12 @@ mod tests {
             out.shape(),
         )
         .unwrap();
-        let (d_in, d_w, d_b) = conv2d_backward(&d_out, &weight, &saved).unwrap();
+        let grads = conv2d_backward(&d_out, &weight, &saved, true, true).unwrap();
+        let (d_in, d_w, d_b) = (
+            grads.x_grad.unwrap(),
+            grads.weights_grad,
+            grads.bias_grad.unwrap(),
+        );
 
         let h = 1e-2;
         // spot-check a handful of coordinates in each gradient
@@ -588,6 +615,95 @@ mod tests {
                 d_b.data()[i]
             );
         }
+    }
+
+    /// The group-of-1 contract: on the scalar backend the grouped
+    /// lowering is, bit for bit, the per-sample composition of im2col, the
+    /// three GEMMs, col2im, and a compensated batch-axis fold.
+    #[test]
+    fn scalar_conv_is_the_per_sample_lowering_bit_for_bit() {
+        use crate::backend::{with_backend, ScalarBackend};
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = Prng::new(7);
+        let (n, c, o, hw) = (5, 3, 4, 7);
+        for (kernel, stride, padding) in [(3, 1, 1), (3, 2, 1), (1, 2, 0)] {
+            let win = Window {
+                kernel,
+                stride,
+                padding,
+            };
+            let input = rng.normal_tensor(&[n, c, hw, hw], 0.0, 1.0);
+            let weight = rng.normal_tensor(&[o, c, kernel, kernel], 0.0, 0.5);
+            let bias = rng.normal_tensor(&[o], 0.0, 0.5);
+            let oh = win.out_size(hw).unwrap();
+            let d_out = rng.normal_tensor(&[n, o, oh, oh], 0.0, 1.0);
+            let (out, grads) = with_backend(BackendKind::Scalar, || {
+                rex_pool::with_pool_size(3, || {
+                    let (out, saved) = conv2d_forward(&input, &weight, Some(&bias), win).unwrap();
+                    (
+                        out,
+                        conv2d_backward(&d_out, &weight, &saved, true, true).unwrap(),
+                    )
+                })
+            });
+
+            let geom = PatchGeom {
+                c,
+                h: hw,
+                w: hw,
+                win,
+                oh,
+                ow: oh,
+            };
+            let (ckk, ohw, chw) = (geom.ckk(), geom.ohw(), geom.chw());
+            let (mut dw, mut dw_comp) = (vec![0.0f32; o * ckk], vec![0.0f32; o * ckk]);
+            let (mut db, mut db_comp) = (vec![0.0f32; o], vec![0.0f32; o]);
+            for s in 0..n {
+                let mut cols = vec![0.0f32; ckk * ohw];
+                im2col_sample(&geom, &input.data()[s * chw..], &mut cols, ohw);
+                let mut y = vec![0.0f32; o * ohw];
+                kernels::gemm(o, ckk, ohw, weight.data(), &cols, &mut y);
+                for (row, &b) in y.chunks_mut(ohw).zip(bias.data()) {
+                    for v in row {
+                        *v += b;
+                    }
+                }
+                assert_eq!(bits(&y), bits(&out.data()[s * o * ohw..(s + 1) * o * ohw]));
+
+                let dy = &d_out.data()[s * o * ohw..(s + 1) * o * ohw];
+                let mut dw_s = vec![0.0f32; o * ckk];
+                kernels::gemm_nt(o, ohw, ckk, dy, &cols, &mut dw_s);
+                kahan_add(&mut dw, &mut dw_comp, &dw_s);
+                let db_s: Vec<f32> = dy.chunks(ohw).map(|r| ScalarBackend.sum(r)).collect();
+                kahan_add(&mut db, &mut db_comp, &db_s);
+                let mut dcols = vec![0.0f32; ckk * ohw];
+                kernels::gemm_tn(ckk, o, ohw, weight.data(), dy, &mut dcols);
+                let mut dx = vec![0.0f32; chw];
+                let mut comp = vec![0.0f32; hw * hw];
+                col2im_sample(&geom, &dcols, ohw, &mut dx, &mut comp);
+                let x_grad = grads.x_grad.as_ref().unwrap();
+                assert_eq!(bits(&dx), bits(&x_grad.data()[s * chw..(s + 1) * chw]));
+            }
+            assert_eq!(bits(&dw), bits(grads.weights_grad.data()));
+            assert_eq!(bits(&db), bits(grads.bias_grad.unwrap().data()));
+        }
+    }
+
+    #[test]
+    fn unwanted_gradients_are_not_computed() {
+        let mut rng = Prng::new(3);
+        let input = rng.normal_tensor(&[2, 2, 5, 5], 0.0, 1.0);
+        let weight = rng.normal_tensor(&[3, 2, 3, 3], 0.0, 0.5);
+        let win = Window::same(3);
+        let (out, saved) = conv2d_forward(&input, &weight, None, win).unwrap();
+        let d_out = out.scale(0.5);
+        let all = conv2d_backward(&d_out, &weight, &saved, true, true).unwrap();
+        let dw_only = conv2d_backward(&d_out, &weight, &saved, false, false).unwrap();
+        assert!(dw_only.x_grad.is_none() && dw_only.bias_grad.is_none());
+        assert_eq!(dw_only.weights_grad, all.weights_grad);
+        let no_bias = conv2d_backward_no_bias(&d_out, &weight, &saved).unwrap();
+        assert!(no_bias.bias_grad.is_none());
+        assert_eq!(no_bias.x_grad, all.x_grad);
     }
 
     #[test]

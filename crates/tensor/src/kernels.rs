@@ -8,8 +8,9 @@
 //! # Kernel structure
 //!
 //! All entry points compute `C += op(A) · op(B)` (accumulating — callers
-//! zero `C` when they want a plain product, which lets the conv backward
-//! pass accumulate per-sample weight gradients with no temporaries).
+//! zero `C` when they want a plain product; the conv backward writes each
+//! sample group's weight gradient into its own zeroed partial and folds
+//! the partials afterwards).
 //!
 //! Large products run the classic three-level blocked algorithm: `B` is
 //! packed into a `KC×NC` panel and `A` into an `MC×KC` block (both drawn
@@ -40,7 +41,7 @@
 //! [`rex_pool::num_threads`]: `--threads` flag > `REX_NUM_THREADS` > core
 //! count.
 
-use crate::backend::Layout;
+use crate::backend::{ComputeBackend, Layout};
 use crate::scratch::PooledBuf;
 
 /// Rows of `A` per packed block (`MC × KC` block ≈ 64 KiB, L2-resident).
@@ -76,7 +77,7 @@ pub fn num_threads() -> usize {
 ///
 /// Panics if slice lengths disagree with the dimensions.
 pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_driver(Layout::Nn, m, k, n, a, b, c);
+    gemm_driver(crate::backend::active(), Layout::Nn, m, k, n, a, b, c);
 }
 
 /// `C[m,n] += A[k,m]ᵀ · B[k,n]` without materialising the transpose.
@@ -85,7 +86,7 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
 ///
 /// Panics if slice lengths disagree with the dimensions.
 pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_driver(Layout::Tn, m, k, n, a, b, c);
+    gemm_driver(crate::backend::active(), Layout::Tn, m, k, n, a, b, c);
 }
 
 /// `C[m,n] += A[m,k] · B[n,k]ᵀ` without materialising the transpose.
@@ -94,7 +95,7 @@ pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
 ///
 /// Panics if slice lengths disagree with the dimensions.
 pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_driver(Layout::Nt, m, k, n, a, b, c);
+    gemm_driver(crate::backend::active(), Layout::Nt, m, k, n, a, b, c);
 }
 
 /// `C[m,n] = A[m,k] · Bq[n,k]ᵀ` where `Bq` is Q8_0-quantized along `k`
@@ -251,7 +252,23 @@ fn check_dims(layout: Layout, m: usize, k: usize, n: usize, a: &[f32], b: &[f32]
     assert_eq!(c.len(), m * n, "gemm: C length {} != {m}x{n}", c.len());
 }
 
-fn gemm_driver(layout: Layout, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+/// `C += op(A)·op(B)` on backend `be`, row-sharded above [`PAR_FLOPS`].
+///
+/// The public entry points pass [`crate::backend::active`]; drivers that
+/// call GEMMs from their own pool tasks resolve the backend before
+/// sharding and pass it here, since a pool worker does not see the
+/// submitting thread's `with_backend` scope.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_driver(
+    be: &dyn ComputeBackend,
+    layout: Layout,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
     check_dims(layout, m, k, n, a, b, c);
     if m == 0 || n == 0 || k == 0 {
         return;
@@ -259,10 +276,8 @@ fn gemm_driver(layout: Layout, m: usize, k: usize, n: usize, a: &[f32], b: &[f32
     // the driver runs on the submitting thread (the pool fans out
     // internally), so this span covers the whole op including fan-out
     let _sp = rex_telemetry::span::kernel_span("gemm");
-    // resolve the backend once, before sharding: chunk bodies run on pool
-    // workers, and the captured reference is what propagates a thread-local
-    // `with_backend` override into them
-    let be = crate::backend::active();
+    // chunk bodies run on pool workers: the captured `be` is what
+    // propagates a thread-local `with_backend` override into them
     if num_threads() > 1 && m > MC && m * k * n >= PAR_FLOPS {
         // MC-row chunks: the grid depends only on m, and each C row's
         // accumulation order is row-local, so any partition of the rows is

@@ -24,8 +24,7 @@
 use std::sync::OnceLock;
 
 use crate::backend::Layout;
-use crate::conv::Window;
-use crate::{im2col, kernels};
+use crate::kernels;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -332,72 +331,6 @@ dispatch! {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Conv lowering
-// ---------------------------------------------------------------------------
-
-/// im2col of one input plane with a stride-1 segment fast path: for
-/// stride 1 every `(ky, kx, oy)` output row is one contiguous source
-/// segment (clipped to the padding window), so the unroll becomes `K²·OH`
-/// memcpys instead of `K²·OH·OW` scalar moves. Other strides fall back to
-/// the scalar loop — identical values either way (this is pure data
-/// movement, no arithmetic).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn im2col_channel(
-    plane: &[f32],
-    h: usize,
-    w: usize,
-    win: Window,
-    oh: usize,
-    ow: usize,
-    cols: &mut [f32],
-) {
-    if win.stride != 1 {
-        return im2col::im2col_channel_scalar(plane, h, w, win, oh, ow, cols);
-    }
-    let k = win.kernel;
-    let pad = win.padding;
-    let ohw = oh * ow;
-    for ky in 0..k {
-        for kx in 0..k {
-            let base = (ky * k + kx) * ohw;
-            // ox range whose input column ix = ox + kx - pad lands in
-            // [0, w); outside it `cols` keeps its caller-zeroed padding
-            let ox_lo = pad.saturating_sub(kx);
-            let ox_hi = ow.min((w + pad).saturating_sub(kx));
-            if ox_lo >= ox_hi {
-                continue;
-            }
-            let ix0 = ox_lo + kx - pad;
-            for oy in 0..oh {
-                let iy = (oy + ky) as isize - pad as isize;
-                if iy < 0 || iy >= h as isize {
-                    continue;
-                }
-                let src = iy as usize * w + ix0;
-                cols[base + oy * ow + ox_lo..base + oy * ow + ox_hi]
-                    .copy_from_slice(&plane[src..src + (ox_hi - ox_lo)]);
-            }
-        }
-    }
-}
-
-/// col2im of one channel: delegates to the shared compensated scatter-add.
-/// Per-element Kahan streams run in the same `(ky, kx, oy, ox)` order on
-/// every backend, so this is bitwise identical to the scalar backend.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn col2im_channel(
-    cols: &[f32],
-    h: usize,
-    w: usize,
-    win: Window,
-    oh: usize,
-    ow: usize,
-    plane: &mut [f32],
-) {
-    im2col::col2im_channel_compensated(cols, h, w, win, oh, ow, plane);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,24 +415,6 @@ mod tests {
         for (i, (x, y)) in whole.iter().zip(&parts).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "row-partition divergence at {i}");
         }
-    }
-
-    #[test]
-    fn im2col_fast_path_matches_scalar_with_padding() {
-        let (h, w) = (7, 9);
-        let win = Window {
-            kernel: 3,
-            stride: 1,
-            padding: 1,
-        };
-        let (oh, ow) = (7, 9);
-        let plane: Vec<f32> = (0..h * w).map(|v| v as f32 + 1.0).collect();
-        let len = 9 * oh * ow;
-        let mut fast = vec![0.0f32; len];
-        im2col_channel(&plane, h, w, win, oh, ow, &mut fast);
-        let mut slow = vec![0.0f32; len];
-        im2col::im2col_channel_scalar(&plane, h, w, win, oh, ow, &mut slow);
-        assert_eq!(fast, slow);
     }
 
     #[test]

@@ -167,6 +167,19 @@ const CONV_CASES: &[(usize, usize, usize, usize, usize, usize, usize)] = &[
     (3, 1, 2, 9, 5, 1, 2),
     (2, 4, 2, 9, 3, 2, 1),
     (4, 3, 16, 8, 3, 1, 1),
+    // the RN20 analogue's layer shapes at its batch of 32 (the SIMD
+    // backend lowers these in groups of 8 samples)
+    (32, 3, 8, 12, 3, 1, 1),
+    (32, 8, 8, 12, 3, 1, 1),
+    (32, 8, 16, 12, 3, 2, 1),
+    (32, 16, 16, 6, 3, 1, 1),
+    (32, 8, 16, 12, 1, 2, 0),
+    (32, 16, 32, 6, 3, 2, 1),
+    (32, 32, 32, 3, 3, 1, 1),
+    (32, 16, 32, 6, 1, 2, 0),
+    // a batch no group size divides: a ragged last group
+    (13, 8, 16, 12, 3, 1, 1),
+    (13, 16, 32, 6, 3, 2, 1),
 ];
 
 #[test]
@@ -208,7 +221,12 @@ fn conv2d_backward_matches_direct_reference() {
         };
         let (out, saved) = conv2d_forward(&input, &weight, None, win).unwrap();
         let d_out = rng.normal_tensor(out.shape(), 0.0, 1.0);
-        let (di, dw, db) = conv2d_backward(&d_out, &weight, &saved).unwrap();
+        let grads = conv2d_backward(&d_out, &weight, &saved, true, true).unwrap();
+        let (di, dw, db) = (
+            grads.x_grad.unwrap(),
+            grads.weights_grad,
+            grads.bias_grad.unwrap(),
+        );
         let (rdi, rdw, rdb) =
             reference::conv2d_direct_backward(&d_out, &input, &weight, win).unwrap();
         // The col2im scatter and the batch-axis dW/dB folds use compensated

@@ -39,7 +39,8 @@ fn threaded_gemm_matches_reference() {
     }
 
     let d_out = rng.normal_tensor(out.shape(), 0.0, 1.0);
-    let (di, dw, _) = conv2d_backward(&d_out, &weight, &saved).unwrap();
+    let grads = conv2d_backward(&d_out, &weight, &saved, true, false).unwrap();
+    let (di, dw) = (grads.x_grad.unwrap(), grads.weights_grad);
     let (rdi, rdw, _) = reference::conv2d_direct_backward(&d_out, &input, &weight, win).unwrap();
     for (x, y) in di.data().iter().zip(rdi.data()) {
         assert!((x - y).abs() <= 1e-5 * (1.0 + x.abs().max(y.abs())));

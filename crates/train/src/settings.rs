@@ -299,12 +299,39 @@ mod tests {
         flag.store(false, Ordering::Release);
     }
 
+    /// f16 storage with Adam or AdamW is refused up front, by name: the
+    /// second moment `(1-β2)·g²` rounds to zero in f16 and the run goes
+    /// NaN within two steps.
+    #[test]
+    fn f16_with_adam_is_refused_by_name() {
+        let spec = load_setting("vae-mnist", 1).unwrap();
+        for opt in [OptimizerKind::adam(), OptimizerKind::adamw()] {
+            let err = spec
+                .run_ft(
+                    1,
+                    opt,
+                    ScheduleSpec::Rex,
+                    spec.default_lr(&opt),
+                    1,
+                    DType::F16,
+                    FtConfig::default(),
+                    &mut Recorder::disabled(),
+                )
+                .unwrap_err();
+            let TrainError::Config(msg) = &err else {
+                panic!("expected a config error, got {err}");
+            };
+            for word in ["f16", opt.name(), "bf16", "SGDM"] {
+                assert!(msg.contains(word), "{msg:?} does not name {word}");
+            }
+        }
+    }
+
     /// A VAE run halted mid-epoch and resumed from its last snapshot
     /// finishes with a trace byte-identical to the uninterrupted run's —
     /// the snapshot carries the reparameterisation sampler — at f32 and at
-    /// both half precisions. f16 trains with SGDM: under Adam its second
-    /// moments underflow and the run diverges, and two diverged traces
-    /// would match whatever the snapshot restored.
+    /// both half precisions. f16 trains with SGDM, since the trainer
+    /// refuses f16 with Adam (see `f16_with_adam_is_refused_by_name`).
     #[test]
     fn vae_halt_and_resume_is_byte_identical() {
         use rex_telemetry::JsonlSink;

@@ -337,6 +337,15 @@ impl Trainer {
                 cfg.dtype
             )));
         }
+        if cfg.dtype == DType::F16 && !matches!(cfg.optimizer, OptimizerKind::Sgdm { .. }) {
+            // (1-β2)·g² rounds to zero in f16 storage, so the next update
+            // divides by ε and the run goes NaN within a couple of steps
+            return Err(TrainError::Config(format!(
+                "dtype f16 with optimizer {}: its second-moment state underflows \
+                 in f16 storage and the run diverges; use dtype bf16 or optimizer SGDM",
+                cfg.optimizer.name()
+            )));
+        }
         let mut opt = cfg.optimizer.build(obj.params(), cfg.lr);
         opt.set_param_dtype(cfg.dtype);
         if cfg.dtype != DType::F32 {

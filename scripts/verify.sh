@@ -43,6 +43,11 @@ for bk in scalar simd; do
   REX_BACKEND=$bk cargo test --offline -q -p rex-tensor --test kernel_parity
   REX_BACKEND=$bk cargo test --offline -q -p rex-tensor --test backend_parity
   REX_BACKEND=$bk cargo test --release --offline -q --test golden_traces
+  # thread invariance per backend: the conv lowers one sample per group
+  # on scalar and several per group on simd, and both grids must give the
+  # same bits at any pool size
+  REX_BACKEND=$bk cargo test --offline -q -p rex-tensor --test threaded_parity
+  REX_BACKEND=$bk cargo test --offline -q --test thread_determinism
 done
 # the rexctl --backend flag end-to-end: a forced-scalar run must train
 # and trace; the default (auto) run above already covers simd wherever a

@@ -53,27 +53,30 @@ fn batched_gemm_is_bitwise_identical_across_thread_counts() {
 
 #[test]
 fn conv_forward_backward_are_bitwise_identical_across_thread_counts() {
-    // batch and flops both above the conv parallel gates
+    // batch and flops both above the conv parallel gates; 13 is a batch
+    // no sample-group size divides, so the last group is ragged
     let mut rng = Prng::new(47);
-    let input = rng.normal_tensor(&[16, 3, 24, 24], 0.0, 1.0);
-    let weight = rng.normal_tensor(&[8, 3, 3, 3], 0.0, 0.5);
-    let bias = rng.normal_tensor(&[8], 0.0, 0.1);
-    let win = Window {
-        kernel: 3,
-        stride: 1,
-        padding: 1,
-    };
-    assert_same_at_all_counts(|| {
-        let (out, saved) = conv2d_forward(&input, &weight, Some(&bias), win).unwrap();
-        let d_out = out.scale(0.37);
-        let (di, dw, db) = conv2d_backward(&d_out, &weight, &saved).unwrap();
-        (
-            out.data().to_vec(),
-            di.data().to_vec(),
-            dw.data().to_vec(),
-            db.data().to_vec(),
-        )
-    });
+    for (n, c, o, hw, stride) in [(16, 3, 8, 24, 1), (13, 8, 16, 12, 1), (13, 8, 16, 12, 2)] {
+        let input = rng.normal_tensor(&[n, c, hw, hw], 0.0, 1.0);
+        let weight = rng.normal_tensor(&[o, c, 3, 3], 0.0, 0.5);
+        let bias = rng.normal_tensor(&[o], 0.0, 0.1);
+        let win = Window {
+            kernel: 3,
+            stride,
+            padding: 1,
+        };
+        assert_same_at_all_counts(|| {
+            let (out, saved) = conv2d_forward(&input, &weight, Some(&bias), win).unwrap();
+            let d_out = out.scale(0.37);
+            let grads = conv2d_backward(&d_out, &weight, &saved, true, true).unwrap();
+            (
+                out.data().to_vec(),
+                grads.x_grad.unwrap().data().to_vec(),
+                grads.weights_grad.data().to_vec(),
+                grads.bias_grad.unwrap().data().to_vec(),
+            )
+        });
+    }
 }
 
 #[test]
