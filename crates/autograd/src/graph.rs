@@ -2,6 +2,7 @@ use rex_tensor::conv::{
     conv2d_backward, conv2d_forward, global_avgpool_backward, global_avgpool_forward,
     maxpool2d_backward, maxpool2d_forward, Conv2dSaved, Window,
 };
+use rex_tensor::norm;
 use rex_tensor::ops;
 use rex_tensor::ops::{matmul3, matmul3_nt, matmul3_tn, permute_0213, transpose_last2};
 use rex_tensor::{Tensor, TensorError};
@@ -70,7 +71,8 @@ enum Op {
         input: NodeId,
         gamma: NodeId,
         beta: NodeId,
-        x_hat: Tensor,
+        /// per-channel mean and inverse std the input was normalised with
+        mean: Vec<f32>,
         inv_std: Vec<f32>,
         /// true in training mode (batch statistics couple the gradient)
         coupled: bool,
@@ -637,8 +639,8 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::RankMismatch`] for unsupported ranks.
-    #[allow(clippy::needless_range_loop)]
+    /// Returns [`TensorError::RankMismatch`] for unsupported ranks or a
+    /// `gamma`/`beta` whose length is not `C`.
     pub fn batch_norm_train(
         &mut self,
         x: NodeId,
@@ -646,44 +648,12 @@ impl Graph {
         beta: NodeId,
         eps: f32,
     ) -> Result<(NodeId, Tensor, Tensor), TensorError> {
-        let (n, c, l) = ncl(self.value(x))?;
-        let xv = self.value(x).clone();
-        let m = (n * l) as f32;
-        let mut mean = vec![0.0f32; c];
-        let mut var = vec![0.0f32; c];
-        for s in 0..n {
-            for ch in 0..c {
-                let base = (s * c + ch) * l;
-                for i in 0..l {
-                    mean[ch] += xv.data()[base + i];
-                }
-            }
-        }
-        for v in &mut mean {
-            *v /= m;
-        }
-        for s in 0..n {
-            for ch in 0..c {
-                let base = (s * c + ch) * l;
-                for i in 0..l {
-                    let d = xv.data()[base + i] - mean[ch];
-                    var[ch] += d * d;
-                }
-            }
-        }
-        for v in &mut var {
-            *v /= m;
-        }
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + eps).sqrt()).collect();
-        let (out, x_hat) = bn_affine(
-            &xv,
-            n,
-            c,
-            l,
-            &mean,
-            &inv_std,
-            self.value(gamma),
-            self.value(beta),
+        let (out, stats) =
+            norm::batch_norm_train(self.value(x), self.value(gamma), self.value(beta), eps)?;
+        let c = stats.mean.len();
+        let (mean, var) = (
+            Tensor::from_vec(stats.mean.clone(), &[c])?,
+            Tensor::from_vec(stats.var, &[c])?,
         );
         let rg = self.rg(x) || self.rg(gamma) || self.rg(beta);
         let id = self.push(
@@ -692,25 +662,21 @@ impl Graph {
                 input: x,
                 gamma,
                 beta,
-                x_hat,
-                inv_std,
+                mean: stats.mean,
+                inv_std: stats.inv_std,
                 coupled: true,
             },
             rg,
         );
-        Ok((
-            id,
-            Tensor::from_vec(mean, &[c])?,
-            Tensor::from_vec(var, &[c])?,
-        ))
+        Ok((id, mean, var))
     }
 
     /// Batch normalisation using **running statistics** (evaluation mode).
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::RankMismatch`] for unsupported ranks or
-    /// mismatched statistics shapes.
+    /// Returns [`TensorError::RankMismatch`] for unsupported ranks, or a
+    /// `gamma`, `beta` or running statistic whose length is not `C`.
     pub fn batch_norm_eval(
         &mut self,
         x: NodeId,
@@ -720,29 +686,14 @@ impl Graph {
         running_var: &Tensor,
         eps: f32,
     ) -> Result<NodeId, TensorError> {
-        let (n, c, l) = ncl(self.value(x))?;
-        if running_mean.len() != c || running_var.len() != c {
-            return Err(TensorError::RankMismatch {
-                expected: "running stats of length C",
-                got: running_mean.shape().to_vec(),
-            });
-        }
-        let xv = self.value(x).clone();
-        let inv_std: Vec<f32> = running_var
-            .data()
-            .iter()
-            .map(|&v| 1.0 / (v + eps).sqrt())
-            .collect();
-        let (out, x_hat) = bn_affine(
-            &xv,
-            n,
-            c,
-            l,
-            running_mean.data(),
-            &inv_std,
+        let (out, inv_std) = norm::batch_norm_eval(
+            self.value(x),
             self.value(gamma),
             self.value(beta),
-        );
+            running_mean,
+            running_var,
+            eps,
+        )?;
         let rg = self.rg(x) || self.rg(gamma) || self.rg(beta);
         Ok(self.push(
             out,
@@ -750,7 +701,7 @@ impl Graph {
                 input: x,
                 gamma,
                 beta,
-                x_hat,
+                mean: running_mean.data().to_vec(),
                 inv_std,
                 coupled: false,
             },
@@ -1130,50 +1081,26 @@ impl Graph {
                 input,
                 gamma,
                 beta,
-                x_hat,
+                mean,
                 inv_std,
                 coupled,
             } => {
-                let (n, c, l) = ncl(x_hat)?;
-                let m = (n * l) as f32;
-                let gam = self.value(*gamma);
-                // per-channel reductions
-                let mut sum_g = vec![0.0f32; c];
-                let mut sum_gx = vec![0.0f32; c];
-                for s in 0..n {
-                    for ch in 0..c {
-                        let base = (s * c + ch) * l;
-                        for i in 0..l {
-                            let gi = g.data()[base + i];
-                            sum_g[ch] += gi;
-                            sum_gx[ch] += gi * x_hat.data()[base + i];
-                        }
-                    }
-                }
+                let bn = norm::batch_norm_backward(
+                    g,
+                    self.value(*input),
+                    mean,
+                    inv_std,
+                    self.value(*gamma),
+                    *coupled,
+                    self.rg(*input),
+                )?;
                 if self.rg(*gamma) {
-                    Self::accum(grads, *gamma, Tensor::from_vec(sum_gx.clone(), &[c])?);
+                    Self::accum(grads, *gamma, bn.gamma_grad);
                 }
                 if self.rg(*beta) {
-                    Self::accum(grads, *beta, Tensor::from_vec(sum_g.clone(), &[c])?);
+                    Self::accum(grads, *beta, bn.beta_grad);
                 }
-                if self.rg(*input) {
-                    let mut dx = Tensor::zeros(x_hat.shape());
-                    for s in 0..n {
-                        for ch in 0..c {
-                            let base = (s * c + ch) * l;
-                            let k = gam.data()[ch] * inv_std[ch];
-                            for i in 0..l {
-                                let gi = g.data()[base + i];
-                                dx.data_mut()[base + i] = if *coupled {
-                                    k * (gi
-                                        - sum_g[ch] / m
-                                        - x_hat.data()[base + i] * sum_gx[ch] / m)
-                                } else {
-                                    k * gi
-                                };
-                            }
-                        }
-                    }
+                if let Some(dx) = bn.x_grad {
                     Self::accum(grads, *input, dx);
                 }
             }
@@ -1251,48 +1178,6 @@ impl Graph {
         }
         Ok(())
     }
-}
-
-/// Interprets a tensor as `[N, C, L]` (with L = product of trailing dims);
-/// supports `[N, C]` and `[N, C, H, W]`.
-fn ncl(x: &Tensor) -> Result<(usize, usize, usize), TensorError> {
-    match x.ndim() {
-        2 => Ok((x.shape()[0], x.shape()[1], 1)),
-        4 => Ok((x.shape()[0], x.shape()[1], x.shape()[2] * x.shape()[3])),
-        _ => Err(TensorError::RankMismatch {
-            expected: "2-D [N,C] or 4-D [N,C,H,W] tensor",
-            got: x.shape().to_vec(),
-        }),
-    }
-}
-
-/// Shared affine step of batch norm: returns `(out, x_hat)`.
-#[allow(clippy::too_many_arguments)]
-fn bn_affine(
-    x: &Tensor,
-    n: usize,
-    c: usize,
-    l: usize,
-    mean: &[f32],
-    inv_std: &[f32],
-    gamma: &Tensor,
-    beta: &Tensor,
-) -> (Tensor, Tensor) {
-    let mut out = Tensor::zeros(x.shape());
-    let mut x_hat = Tensor::zeros(x.shape());
-    for s in 0..n {
-        for ch in 0..c {
-            let base = (s * c + ch) * l;
-            let (mu, istd) = (mean[ch], inv_std[ch]);
-            let (gm, bt) = (gamma.data()[ch], beta.data()[ch]);
-            for i in 0..l {
-                let xh = (x.data()[base + i] - mu) * istd;
-                x_hat.data_mut()[base + i] = xh;
-                out.data_mut()[base + i] = gm * xh + bt;
-            }
-        }
-    }
-    (out, x_hat)
 }
 
 #[cfg(test)]
@@ -1501,6 +1386,33 @@ mod tests {
         // y = 3*(x-2)/2 + 1
         assert!((g.value(y).data()[0] - 1.0).abs() < 1e-5);
         assert!((g.value(y).data()[1] - 4.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn batch_norm_rejects_affine_of_wrong_length() {
+        let x = Param::new("x", Tensor::ones(&[4, 3, 2, 2]));
+        let short = Param::new("g", Tensor::ones(&[2]));
+        let beta = Param::new("b", Tensor::zeros(&[3]));
+        let (mean, var) = (Tensor::zeros(&[3]), Tensor::ones(&[3]));
+        for training in [true, false] {
+            let mut g = Graph::new(training);
+            let xn = g.param(&x);
+            let sn = g.param(&short);
+            let bn = g.param(&beta);
+            // a short gamma, then a short beta
+            for (gam, bet) in [(sn, bn), (bn, sn)] {
+                let err = if training {
+                    g.batch_norm_train(xn, gam, bet, 1e-5).map(|_| ())
+                } else {
+                    g.batch_norm_eval(xn, gam, bet, &mean, &var, 1e-5)
+                        .map(|_| ())
+                };
+                assert!(
+                    matches!(err, Err(TensorError::RankMismatch { .. })),
+                    "training={training}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,15 @@
 //! Workers are spawned lazily on first use and persist for the process
 //! lifetime (`num_threads() - 1` workers; the submitting thread always
 //! participates, so a "1-thread" pool spawns nothing and runs inline).
-//! Task handoff is a mutex-protected queue plus condvar — no busy waiting.
+//! Task handoff is a mutex-protected queue plus condvar, with a bounded
+//! spin in front of each blocking wait: an idle worker polls an atomic
+//! count of pending queue entries for a fixed window (300 µs) before it
+//! parks, and the submitter polls its job's completion count for the same
+//! window before it blocks. A training step submits its kernels with short
+//! serial gaps between them, so most handoffs then cost an atomic load
+//! instead of a futex wake. A pool with more threads than
+//! [`std::thread::available_parallelism`] reports never spins: a spinning
+//! thread there would hold the core a working one needs.
 //! Chunks are claimed with an atomic counter, so a job is finished exactly
 //! when `completed == n_chunks` even if a chunk body panics; the first
 //! panic payload is captured and re-raised on the submitting thread
@@ -54,15 +62,21 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Upper bound on the *default* thread count when neither
 /// [`set_num_threads`] nor `REX_NUM_THREADS` pins one. Explicit settings
 /// may exceed it.
 pub const MAX_DEFAULT_THREADS: usize = 32;
+
+/// How long an idle worker polls for the next job, and the submitter for
+/// its job's last chunk, before blocking on a condvar. It covers the
+/// serial gap between two kernels of a training step (the autograd
+/// bookkeeping and the elementwise ops between two convolutions).
+const SPIN_WINDOW: Duration = Duration::from_micros(300);
 
 // ---------------------------------------------------------------------------
 // Thread-count resolution
@@ -117,18 +131,18 @@ pub fn set_num_threads(n: usize) -> Result<(), String> {
 /// dereference by blocking until `completed == n_chunks` before returning.
 type BodyRef = &'static (dyn Fn(usize) + Sync);
 
-struct JobState {
-    completed: usize,
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
 struct Job {
     body: BodyRef,
     n_chunks: usize,
     /// Next unclaimed chunk index; claimed with `fetch_add`, so every chunk
     /// is executed exactly once no matter how many threads race.
     next: AtomicUsize,
-    state: Mutex<JobState>,
+    /// Chunks finished. The last chunk's `Release` increment pairs with the
+    /// submitter's `Acquire` load, publishing every chunk's writes.
+    completed: AtomicUsize,
+    /// First chunk panic; also the lock the submitter blocks under, so the
+    /// last chunk's notify cannot fall between its check and its wait.
+    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     done: Condvar,
     /// When the job was pushed onto the queue; chunk 0's claim records
     /// `enqueued_at.elapsed()` as the job's queue-wait.
@@ -168,17 +182,36 @@ impl Job {
             } else {
                 STATS.submitter_busy_ns.fetch_add(dt, Ordering::Relaxed);
             }
-            let mut st = self.state.lock().unwrap();
             if let Err(payload) = result {
-                if st.panic.is_none() {
-                    st.panic = Some(payload);
-                }
+                self.panic.lock().unwrap().get_or_insert(payload);
             }
-            st.completed += 1;
-            if st.completed == self.n_chunks {
+            if self.completed.fetch_add(1, Ordering::AcqRel) + 1 == self.n_chunks {
+                let _lock = self.panic.lock().unwrap();
                 self.done.notify_all();
             }
         }
+    }
+
+    /// Blocks until every chunk has finished (spinning first when `spin`),
+    /// then returns the first chunk panic, if any.
+    fn wait(&self, spin: bool) -> Option<Box<dyn std::any::Any + Send>> {
+        let finished = || self.completed.load(Ordering::Acquire) == self.n_chunks;
+        if spin {
+            spin_until(finished);
+        }
+        let mut panic = self.panic.lock().unwrap();
+        while !finished() {
+            panic = self.done.wait(panic).unwrap();
+        }
+        panic.take()
+    }
+}
+
+/// Polls `ready` until it holds or [`SPIN_WINDOW`] has passed.
+fn spin_until(ready: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !ready() && start.elapsed() < SPIN_WINDOW {
+        std::hint::spin_loop();
     }
 }
 
@@ -246,13 +279,34 @@ pub fn stats() -> PoolStats {
 struct QueueState {
     jobs: VecDeque<Arc<Job>>,
     shutdown: bool,
+    /// Workers blocked on `available`. Counted under this lock, so a
+    /// submitter that reads 0 after its push knows every worker will see
+    /// the job before it parks.
+    sleepers: usize,
 }
 
 struct PoolCore {
     queue: Mutex<QueueState>,
     available: Condvar,
+    /// `queue.jobs.len()`, readable without the lock by spinning workers.
+    /// `Relaxed` throughout: it is only a hint to stop spinning, and the
+    /// job itself is taken under the queue lock.
+    pending: AtomicUsize,
+    /// `queue.shutdown`, readable without the lock by spinning workers
+    /// (again only a hint; the worker exits on the locked flag).
+    shutdown: AtomicBool,
     /// Total threads including the submitter; `workers == threads - 1`.
     threads: usize,
+    /// Whether handoffs spin before they block; see [`spins`].
+    spin: bool,
+}
+
+/// Whether a pool of `threads` threads spins before it parks: only when
+/// every thread can hold a core of its own.
+pub(crate) fn spins(threads: usize) -> bool {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()));
+    threads <= cores
 }
 
 thread_local! {
@@ -265,6 +319,11 @@ thread_local! {
 fn worker_loop(core: Arc<PoolCore>) {
     IN_WORKER.with(|f| f.set(true));
     loop {
+        if core.spin {
+            spin_until(|| {
+                core.pending.load(Ordering::Relaxed) > 0 || core.shutdown.load(Ordering::Relaxed)
+            });
+        }
         let job = {
             let mut q = core.queue.lock().unwrap();
             loop {
@@ -272,9 +331,12 @@ fn worker_loop(core: Arc<PoolCore>) {
                     return;
                 }
                 if let Some(job) = q.jobs.pop_front() {
+                    core.pending.fetch_sub(1, Ordering::Relaxed);
                     break job;
                 }
+                q.sleepers += 1;
                 q = core.available.wait(q).unwrap();
+                q.sleepers -= 1;
             }
         };
         // The queue may hold stale copies of already-finished jobs; the
@@ -298,9 +360,13 @@ impl Pool {
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
                 shutdown: false,
+                sleepers: 0,
             }),
             available: Condvar::new(),
+            pending: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
             threads,
+            spin: spins(threads),
         });
         let handles = (0..threads - 1)
             .map(|i| {
@@ -317,17 +383,18 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.core.queue.lock().unwrap().shutdown = true;
-        self.available_notify_all();
+        // a poisoned lock still guards a valid queue: setting the flag is
+        // a single store
+        self.core
+            .queue
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .shutdown = true;
+        self.core.shutdown.store(true, Ordering::Relaxed);
+        self.core.available.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-    }
-}
-
-impl Pool {
-    fn available_notify_all(&self) {
-        self.core.available.notify_all();
     }
 }
 
@@ -403,15 +470,13 @@ fn run_chunked(n_chunks: usize, body: &(dyn Fn(usize) + Sync)) {
         body,
         n_chunks,
         next: AtomicUsize::new(0),
-        state: Mutex::new(JobState {
-            completed: 0,
-            panic: None,
-        }),
+        completed: AtomicUsize::new(0),
+        panic: Mutex::new(None),
         done: Condvar::new(),
         enqueued_at: Instant::now(),
     });
     STATS.jobs.fetch_add(1, Ordering::Relaxed);
-    {
+    let wake = {
         let mut q = core.queue.lock().unwrap();
         // One queue entry per worker that could usefully help; each entry
         // is a handle into the same chunk counter, not a unit of work.
@@ -419,15 +484,14 @@ fn run_chunked(n_chunks: usize, body: &(dyn Fn(usize) + Sync)) {
         for _ in 0..copies {
             q.jobs.push_back(Arc::clone(&job));
         }
+        core.pending.fetch_add(copies, Ordering::Relaxed);
+        q.sleepers > 0
+    };
+    if wake {
+        core.available.notify_all();
     }
-    core.available.notify_all();
     job.run_to_completion();
-    let mut st = job.state.lock().unwrap();
-    while st.completed < n_chunks {
-        st = job.done.wait(st).unwrap();
-    }
-    if let Some(payload) = st.panic.take() {
-        drop(st);
+    if let Some(payload) = job.wait(core.spin) {
         resume_unwind(payload);
     }
 }
@@ -602,26 +666,98 @@ mod tests {
     #[test]
     fn panicking_chunk_aborts_instead_of_deadlocking() {
         let _jobs = submits_jobs();
-        with_pool_size(4, || {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                parallel_for(64, 4, |c, _| {
-                    if c == 9 {
-                        panic!("poisoned task 9");
-                    }
-                });
-            }));
-            let payload = result.expect_err("panic must propagate to the submitter");
-            let msg = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .map(String::from)
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_default();
-            assert!(msg.contains("poisoned task 9"), "got {msg:?}");
-            // The pool must still be usable after a panicked job.
-            let sum = parallel_reduce(100, 8, |_, r| r.len(), |a, b| a + b).unwrap();
-            assert_eq!(sum, 100);
+        // 2 threads spin on a multi-core host; 4 are oversubscribed on 2
+        // cores and park at once
+        for threads in [2, 4] {
+            with_pool_size(threads, || {
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    parallel_for(64, 4, |c, _| {
+                        if c == 9 {
+                            panic!("poisoned task 9");
+                        }
+                    });
+                }));
+                let payload = result.expect_err("panic must propagate to the submitter");
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .map(String::from)
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_default();
+                assert!(
+                    msg.contains("poisoned task 9"),
+                    "threads={threads}: got {msg:?}"
+                );
+                // The pool must still be usable after a panicked job.
+                let sum = parallel_reduce(100, 8, |_, r| r.len(), |a, b| a + b).unwrap();
+                assert_eq!(sum, 100);
+            });
+        }
+    }
+
+    /// Polls `ready` for up to 10 s; returns whether it came true.
+    fn eventually(ready: impl Fn() -> bool) -> bool {
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_secs(10) {
+            if ready() {
+                return true;
+            }
+            thread::yield_now();
+        }
+        false
+    }
+
+    #[test]
+    fn job_submitted_after_workers_park_wakes_them() {
+        let _jobs = submits_jobs();
+        with_pool_size(2, || {
+            parallel_for(4, 1, |_, _| {});
+            // wait until the worker has left its spin and blocked
+            let core = current_core();
+            assert!(
+                eventually(|| core.queue.lock().unwrap().sleepers == 1),
+                "the idle worker never parked"
+            );
+            // each chunk waits for the other to start, so the job finishes
+            // in time only if the parked worker woke and took a chunk
+            let started = AtomicUsize::new(0);
+            parallel_for(2, 1, |_, _| {
+                started.fetch_add(1, Ordering::SeqCst);
+                eventually(|| started.load(Ordering::SeqCst) == 2);
+            });
+            assert_eq!(started.load(Ordering::SeqCst), 2);
+            let sleepers = core.queue.lock().unwrap().sleepers;
+            assert!(sleepers <= 1, "sleeper count drifted to {sleepers}");
         });
+    }
+
+    #[test]
+    fn dropping_a_pool_with_spinning_workers_joins_promptly() {
+        let _jobs = submits_jobs();
+        let threads = thread::available_parallelism()
+            .map_or(2, |n| n.get())
+            .min(4);
+        for _ in 0..20 {
+            let finished = with_pool_size(threads, || {
+                parallel_for(64, 1, |_, _| {});
+                // the workers are now spinning for the next job
+                Instant::now()
+            });
+            let join = finished.elapsed();
+            assert!(join < Duration::from_secs(2), "pool drop took {join:?}");
+        }
+    }
+
+    #[test]
+    fn only_pools_that_fit_the_cores_spin() {
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(spins(1));
+        assert!(spins(cores));
+        assert!(
+            !spins(cores + 1),
+            "an oversubscribed pool must park at once"
+        );
+        with_pool_size(cores + 1, || assert!(!current_core().spin));
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! * [`conv`] — 2-D convolution and pooling lowered onto the GEMM via
 //!   [`im2col`], with explicit backward passes (consumed by
 //!   `rex-autograd`) and pooled scratch buffers ([`scratch`]).
+//! * [`norm`] — batch-normalisation forward and backward kernels with
+//!   channel-interleaved per-channel sums.
 //! * [`reference`] — the seed's naive kernels, kept as the parity-test
 //!   oracle (for **both** backends) and the `kernel-bench` baseline.
 //! * [`rng`] — a deterministic xoshiro256\*\*-based PRNG ([`rng::Prng`]) with
@@ -48,6 +50,7 @@ pub mod dtype;
 mod error;
 pub mod im2col;
 pub mod kernels;
+pub mod norm;
 pub mod ops;
 pub mod reference;
 pub mod rng;

@@ -2,8 +2,11 @@
 //! (matmul NN/TN/NT, batched matmul3, im2col conv2d forward/backward) is
 //! checked against the naive reference oracles in [`rex_tensor::reference`]
 //! across a grid of shapes that crosses the MC/KC/NC block boundaries.
+//! The batch-norm kernels keep the oracles' float order, so they are
+//! checked bit for bit.
 
 use rex_tensor::conv::{conv2d_backward, conv2d_forward, Window};
+use rex_tensor::norm::{batch_norm_backward, batch_norm_eval, batch_norm_train};
 use rex_tensor::ops::{batch_slice, matmul3, matmul3_nt, matmul3_tn};
 use rex_tensor::reference;
 use rex_tensor::{Prng, Tensor};
@@ -271,4 +274,99 @@ fn conv2d_padding_contributes_exact_zero() {
     // centre sees all 9 ones; corners see 4
     assert_eq!(out.data()[4], 9.0);
     assert_eq!(out.data()[0], 4.0);
+}
+
+/// Batch-norm inputs: the three RN20 shapes at batch 32, a rank-2 input,
+/// channel counts that are not a multiple of the interleave width, and
+/// one position per channel.
+const BN_CASES: &[&[usize]] = &[
+    &[32, 8, 12, 12],
+    &[32, 16, 6, 6],
+    &[32, 32, 3, 3],
+    &[32, 12],
+    &[6, 5, 4, 4],
+    &[5, 12, 3, 3],
+    &[9, 12, 1, 1],
+    &[9, 5],
+];
+
+fn assert_bits(got: &[f32], want: &[f32], ctx: &str) {
+    assert_eq!(got.len(), want.len(), "{ctx}: length mismatch");
+    for (i, (a, b)) in got.iter().zip(want).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: index {i}: {a} vs {b}");
+    }
+}
+
+#[test]
+fn batch_norm_train_matches_naive_bitwise() {
+    for (case, &shape) in BN_CASES.iter().enumerate() {
+        let c = shape[1];
+        let mut rng = Prng::new(0xB4 + case as u64);
+        // off-centre input, so the mean and the centring both matter
+        let x = rng.normal_tensor(shape, 0.7, 2.0);
+        let gamma = rng.normal_tensor(&[c], 1.0, 0.5);
+        let beta = rng.normal_tensor(&[c], 0.0, 0.5);
+        let g = rng.normal_tensor(shape, 0.0, 1.0);
+        let ctx = format!("train {shape:?}");
+
+        let (out, stats) = batch_norm_train(&x, &gamma, &beta, 1e-5).unwrap();
+        let (r_out, r_xhat, r_mean, r_var, r_istd) =
+            reference::batch_norm_train_naive(&x, &gamma, &beta, 1e-5);
+        assert_bits(out.data(), r_out.data(), &format!("{ctx} out"));
+        assert_bits(&stats.mean, &r_mean, &format!("{ctx} mean"));
+        assert_bits(&stats.var, &r_var, &format!("{ctx} var"));
+        assert_bits(&stats.inv_std, &r_istd, &format!("{ctx} inv_std"));
+
+        let grads =
+            batch_norm_backward(&g, &x, &stats.mean, &stats.inv_std, &gamma, true, true).unwrap();
+        let (r_dx, r_dg, r_db) =
+            reference::batch_norm_backward_naive(&g, &r_xhat, &r_istd, &gamma, true);
+        assert_bits(
+            grads.x_grad.unwrap().data(),
+            r_dx.data(),
+            &format!("{ctx} dx"),
+        );
+        assert_bits(
+            grads.gamma_grad.data(),
+            r_dg.data(),
+            &format!("{ctx} dgamma"),
+        );
+        assert_bits(grads.beta_grad.data(), r_db.data(), &format!("{ctx} dbeta"));
+    }
+}
+
+#[test]
+fn batch_norm_eval_matches_naive_bitwise() {
+    for (case, &shape) in BN_CASES.iter().enumerate() {
+        let c = shape[1];
+        let mut rng = Prng::new(0xE7 + case as u64);
+        let x = rng.normal_tensor(shape, -0.4, 1.5);
+        let gamma = rng.normal_tensor(&[c], 1.0, 0.5);
+        let beta = rng.normal_tensor(&[c], 0.0, 0.5);
+        let mean = rng.normal_tensor(&[c], 0.0, 1.0);
+        let var = rng.uniform_tensor(&[c], 0.1, 3.0);
+        let g = rng.normal_tensor(shape, 0.0, 1.0);
+        let ctx = format!("eval {shape:?}");
+
+        let (out, istd) = batch_norm_eval(&x, &gamma, &beta, &mean, &var, 1e-5).unwrap();
+        let (r_out, r_xhat, r_istd) =
+            reference::batch_norm_eval_naive(&x, &gamma, &beta, &mean, &var, 1e-5);
+        assert_bits(out.data(), r_out.data(), &format!("{ctx} out"));
+        assert_bits(&istd, &r_istd, &format!("{ctx} inv_std"));
+
+        let grads = batch_norm_backward(&g, &x, mean.data(), &istd, &gamma, false, true).unwrap();
+        let (r_dx, r_dg, r_db) =
+            reference::batch_norm_backward_naive(&g, &r_xhat, &r_istd, &gamma, false);
+        assert_bits(
+            grads.x_grad.unwrap().data(),
+            r_dx.data(),
+            &format!("{ctx} dx"),
+        );
+        assert_bits(
+            grads.gamma_grad.data(),
+            r_dg.data(),
+            &format!("{ctx} dgamma"),
+        );
+        assert_bits(grads.beta_grad.data(), r_db.data(), &format!("{ctx} dbeta"));
+    }
 }

@@ -64,16 +64,22 @@ echo "==> trace-check (golden telemetry traces + CLI --trace)"
 # the golden suite in release mode: committed traces must match the
 # trajectories the release build produces
 cargo test --release --offline --test golden_traces -q
-# the CLI --trace flag: a 1-thread and a 4-thread same-seed run must
-# emit byte-identical JSONL
+# the CLI --trace flag: a 1-thread, a 2-thread and a 4-thread same-seed
+# run must emit byte-identical JSONL. On a 2-core host the 2-thread pool
+# spins between jobs and the 4-thread pool parks at once, so both
+# handoff paths are compared
 cargo run --release --offline -p rex-cli --bin rexctl -- \
   train --setting rn20-cifar10 --budget 5 --schedule rex --seed 7 \
   --threads 1 --trace "$tmp_dir/run_a.jsonl" >/dev/null
 cargo run --release --offline -p rex-cli --bin rexctl -- \
   train --setting rn20-cifar10 --budget 5 --schedule rex --seed 7 \
   --threads 4 --trace "$tmp_dir/run_b.jsonl" >/dev/null
+cargo run --release --offline -p rex-cli --bin rexctl -- \
+  train --setting rn20-cifar10 --budget 5 --schedule rex --seed 7 \
+  --threads 2 --trace "$tmp_dir/run_c.jsonl" >/dev/null
 grep -q '"ev":"step"' "$tmp_dir/run_a.jsonl"
 cmp "$tmp_dir/run_a.jsonl" "$tmp_dir/run_b.jsonl"
+cmp "$tmp_dir/run_a.jsonl" "$tmp_dir/run_c.jsonl"
 
 echo "==> kill-and-resume (crash-safe checkpointing, 1 and 4 threads)"
 # kill the run after step 12 via fault injection (exit 86), resume from
